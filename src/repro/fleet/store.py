@@ -10,10 +10,13 @@ at most one checkpoint interval of progress, never the session.
 
 Two backends share the interface: :class:`InMemorySessionStore` (tests,
 single-process fleets) and :class:`SqliteSessionStore` (crash-durable
-file-backed storage via the stdlib ``sqlite3``).  Both serialize payloads
-to canonical JSON at ``save`` time, so what comes back is exactly what a
-file round-trip would produce — the in-memory store cannot accidentally
-share mutable state with the session.
+file-backed storage via the stdlib ``sqlite3``).  A snapshot carries the
+canonical JSON its checksum was computed over, and both backends store
+exactly that text, so what comes back is exactly what a file round-trip
+would produce — the in-memory store cannot accidentally share mutable
+state with the session.  ``save`` takes one snapshot or a batch and
+writes a batch all-or-none: the fleet checkpoints every session due on a
+tick in one transaction.
 
 :class:`RetryingSessionStore` wraps any backend with the bounded
 retry/backoff policy from :class:`repro.fleet.FleetConfig`
@@ -28,9 +31,10 @@ import hashlib
 import json
 import sqlite3
 import time
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import SessionStoreError, SnapshotIntegrityError
 
@@ -47,28 +51,48 @@ def payload_checksum(encoded: str) -> str:
 
 @dataclass(frozen=True)
 class SessionSnapshot:
-    """One versioned, checksummed session checkpoint."""
+    """One versioned, checksummed session checkpoint.
+
+    ``encoded`` is the payload's canonical JSON as stored: the checksum
+    covers exactly these characters, and stores write them as they are.
+    """
 
     session_id: str
     version: int
     payload: Dict[str, Any]
     checksum: str
+    encoded: str = field(repr=False, compare=False)
 
     @classmethod
     def create(
         cls, session_id: str, version: int, payload: Dict[str, Any]
     ) -> "SessionSnapshot":
-        """Build a snapshot, computing the checksum from the payload."""
+        """Build a snapshot, encoding the payload once for its checksum."""
+        encoded = canonical_payload(payload)
         return cls(
             session_id=session_id,
             version=version,
             payload=payload,
-            checksum=payload_checksum(canonical_payload(payload)),
+            checksum=payload_checksum(encoded),
+            encoded=encoded,
+        )
+
+    @classmethod
+    def decode(
+        cls, session_id: str, version: int, encoded: str, checksum: str
+    ) -> "SessionSnapshot":
+        """A stored snapshot (unverified) from its encoded payload."""
+        return cls(
+            session_id=session_id,
+            version=version,
+            payload=json.loads(encoded),
+            checksum=checksum,
+            encoded=encoded,
         )
 
     def verify(self) -> None:
         """Raise :class:`SnapshotIntegrityError` unless checksum matches."""
-        actual = payload_checksum(canonical_payload(self.payload))
+        actual = payload_checksum(self.encoded)
         if actual != self.checksum:
             raise SnapshotIntegrityError(
                 f"snapshot {self.session_id} v{self.version}: checksum "
@@ -77,11 +101,40 @@ class SessionSnapshot:
             )
 
 
+#: What :meth:`SessionStore.save` accepts: one snapshot or a batch.
+Snapshots = Union[SessionSnapshot, Sequence[SessionSnapshot]]
+
+
+def _as_batch(snapshots: Snapshots) -> List[SessionSnapshot]:
+    """``save``'s argument as a list of snapshots."""
+    if isinstance(snapshots, SessionSnapshot):
+        return [snapshots]
+    return list(snapshots)
+
+
+def _already_stored(batch: List[SessionSnapshot]) -> str:
+    """The error message for a batch that repeats a stored version."""
+    if len(batch) == 1:
+        return (
+            f"session {batch[0].session_id!r} already has "
+            f"version {batch[0].version}"
+        )
+    return (
+        f"batch of {len(batch)} snapshots not written: one of its "
+        "sessions already has its version"
+    )
+
+
 class SessionStore:
     """Interface shared by every session-store backend."""
 
-    def save(self, snapshot: SessionSnapshot) -> None:
-        """Persist one snapshot (a version is written at most once)."""
+    def save(self, snapshots: Snapshots) -> None:
+        """Persist one snapshot or a batch, all or none.
+
+        A version is written at most once: when any snapshot repeats a
+        stored version (or another snapshot of the same batch), the store
+        raises :class:`SessionStoreError` and writes none of the batch.
+        """
         raise NotImplementedError
 
     def load(self, session_id: str) -> Optional[SessionSnapshot]:
@@ -146,26 +199,22 @@ class InMemorySessionStore(SessionStore):
     def __init__(self) -> None:
         self._rows: Dict[str, Dict[int, tuple]] = {}
 
-    def save(self, snapshot: SessionSnapshot) -> None:
-        rows = self._rows.setdefault(snapshot.session_id, {})
-        if snapshot.version in rows:
-            raise SessionStoreError(
-                f"session {snapshot.session_id!r} already has "
-                f"version {snapshot.version}"
-            )
-        rows[snapshot.version] = (
-            canonical_payload(snapshot.payload),
-            snapshot.checksum,
-        )
+    def save(self, snapshots: Snapshots) -> None:
+        batch = _as_batch(snapshots)
+        # Check every version before inserting any: all or none.
+        seen = set()
+        for snapshot in batch:
+            key = (snapshot.session_id, snapshot.version)
+            if key in seen or snapshot.version in self._rows.get(key[0], {}):
+                raise SessionStoreError(_already_stored([snapshot]))
+            seen.add(key)
+        for snapshot in batch:
+            rows = self._rows.setdefault(snapshot.session_id, {})
+            rows[snapshot.version] = (snapshot.encoded, snapshot.checksum)
 
     def load_version(self, session_id: str, version: int) -> SessionSnapshot:
         encoded, checksum = self._rows[session_id][version]
-        return SessionSnapshot(
-            session_id=session_id,
-            version=version,
-            payload=json.loads(encoded),
-            checksum=checksum,
-        )
+        return SessionSnapshot.decode(session_id, version, encoded, checksum)
 
     def versions(self, session_id: str) -> List[int]:
         return sorted(self._rows.get(session_id, {}))
@@ -187,7 +236,13 @@ class InMemorySessionStore(SessionStore):
 
 
 class SqliteSessionStore(SessionStore):
-    """File-backed store on the stdlib ``sqlite3`` (crash durable)."""
+    """File-backed store on the stdlib ``sqlite3`` (crash durable).
+
+    ``save`` writes a whole batch on one connection with one
+    ``executemany`` and one commit, so a checkpoint tick pays for one
+    transaction however many sessions it persists; a batch that fails
+    rolls back and leaves no snapshot of it visible.
+    """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -208,23 +263,21 @@ class SqliteSessionStore(SessionStore):
         # connection object would be unsafe.
         return sqlite3.connect(self.path)
 
-    def save(self, snapshot: SessionSnapshot) -> None:
+    def save(self, snapshots: Snapshots) -> None:
+        batch = _as_batch(snapshots)
         try:
-            with self._connect() as conn:
-                conn.execute(
+            # The inner context commits on success and rolls the whole
+            # batch back on any error; the outer one closes the connection.
+            with closing(self._connect()) as conn, conn:
+                conn.executemany(
                     "INSERT INTO snapshots VALUES (?, ?, ?, ?)",
-                    (
-                        snapshot.session_id,
-                        snapshot.version,
-                        canonical_payload(snapshot.payload),
-                        snapshot.checksum,
-                    ),
+                    [
+                        (s.session_id, s.version, s.encoded, s.checksum)
+                        for s in batch
+                    ],
                 )
         except sqlite3.IntegrityError:
-            raise SessionStoreError(
-                f"session {snapshot.session_id!r} already has "
-                f"version {snapshot.version}"
-            ) from None
+            raise SessionStoreError(_already_stored(batch)) from None
 
     def load_version(self, session_id: str, version: int) -> SessionSnapshot:
         with self._connect() as conn:
@@ -237,12 +290,7 @@ class SqliteSessionStore(SessionStore):
             raise SessionStoreError(
                 f"session {session_id!r} has no version {version}"
             )
-        return SessionSnapshot(
-            session_id=session_id,
-            version=version,
-            payload=json.loads(row[0]),
-            checksum=row[1],
-        )
+        return SessionSnapshot.decode(session_id, version, row[0], row[1])
 
     def versions(self, session_id: str) -> List[int]:
         with self._connect() as conn:
@@ -290,7 +338,8 @@ class RetryingSessionStore(SessionStore):
     interrupted write — and ``OSError``) are retried up to ``retries``
     extra times with ``backoff_s`` sleeps between attempts, then surfaced
     as :class:`SessionStoreError`.  Integrity failures are *not* retried:
-    a bad checksum will not get better by asking again.
+    a bad checksum will not get better by asking again.  A batch ``save``
+    is retried as a whole: the backend wrote none of it.
     """
 
     _TRANSIENT = (sqlite3.OperationalError, OSError)
@@ -314,8 +363,8 @@ class RetryingSessionStore(SessionStore):
                     ) from exc
                 time.sleep(self.backoff_s)
 
-    def save(self, snapshot: SessionSnapshot) -> None:
-        self._attempt(self.store.save, snapshot)
+    def save(self, snapshots: Snapshots) -> None:
+        self._attempt(self.store.save, snapshots)
 
     def load(self, session_id: str) -> Optional[SessionSnapshot]:
         return self._attempt(self.store.load, session_id)

@@ -36,7 +36,7 @@ deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -289,17 +289,9 @@ class FleetSupervisor:
 
     def register(self, spec: SessionSpec) -> FleetSession:
         """Add a session to the fleet (rebuilds the lane pack)."""
-        if spec.session_id in self.sessions:
-            raise FleetError(f"session {spec.session_id!r} already registered")
-        if len(self.sessions) >= self.config.max_sessions:
-            raise FleetError(
-                f"fleet is full ({self.config.max_sessions} sessions)"
-            )
+        self._check_admission(spec)
         session = FleetSession(spec, self.config)
-        self.sessions[spec.session_id] = session
-        self._order.append(spec.session_id)
-        self._rebuild_pack()
-        self._update_gauges()
+        self._admit(session)
         return session
 
     def resume(self, spec: SessionSpec) -> FleetSession:
@@ -309,22 +301,48 @@ class FleetSupervisor:
         fallback when the newest is corrupt).  Raises
         :class:`SnapshotIntegrityError` when snapshots exist but none
         verifies, and :class:`FleetError` when the store holds nothing.
+
+        The checkpoint is restored into the new session *before* it joins
+        the pack, so its lane is built from the restored estimator.  A
+        session whose restore fails is still registered, quarantined
+        (``"restore failed"``), and the error re-raised.
         """
         snapshot = self.store.load(spec.session_id)
         if snapshot is None:
             raise FleetError(
                 f"session {spec.session_id!r} has no stored checkpoint"
             )
-        session = self.register(spec)
+        self._check_admission(spec)
+        session = FleetSession(spec, self.config)
         try:
             session.restore_payload(snapshot.payload)
-            session.checkpoint_version = snapshot.version
-            session.last_checkpoint_tick = snapshot.payload.get("tick")
         except Exception:
+            # Joins the roster already ejected: no lane is built for it.
+            session.quarantined = True
+            self._admit(session)
             self._quarantine([spec.session_id], "restore failed")
             raise
-        self._rebuild_pack()  # reload the lane from the restored state
+        session.checkpoint_version = snapshot.version
+        session.last_checkpoint_tick = snapshot.payload.get("tick")
+        self._admit(session)
         return session
+
+    def _check_admission(self, spec: SessionSpec) -> None:
+        """Refuse a duplicate session id or a session past the cap."""
+        if spec.session_id in self.sessions:
+            raise FleetError(f"session {spec.session_id!r} already registered")
+        if len(self.sessions) >= self.config.max_sessions:
+            raise FleetError(
+                f"fleet is full ({self.config.max_sessions} sessions)"
+            )
+
+    def _admit(self, session: FleetSession) -> None:
+        """Add an admitted session to the roster (and, live, to the pack)."""
+        self.sessions[session.session_id] = session
+        self._order.append(session.session_id)
+        if not session.quarantined:
+            self._rebuild_pack()
+        self._update_gauges()
 
     def _rebuild_pack(self) -> None:
         """Rebuild the batched pack over the active sessions.
@@ -575,18 +593,16 @@ class FleetSupervisor:
     # -- checkpoints -------------------------------------------------------------
 
     def _checkpoint_due(self, tick: int, report: TickReport) -> None:
-        for session in self.active:
-            last = session.last_checkpoint_tick
-            if last is not None and tick - last < self.config.checkpoint_every:
-                continue
-            try:
-                self.checkpoint(session.session_id, tick)
-            except SessionStoreError as exc:
-                reason = f"checkpoint failed: {exc}"
-                self._quarantine([session.session_id], reason, tick=tick)
-                report.quarantined.append((session.session_id, reason))
-            else:
-                report.checkpointed.append(session.session_id)
+        due = [
+            session.session_id
+            for session in self.active
+            if session.last_checkpoint_tick is None
+            or tick - session.last_checkpoint_tick >= self.config.checkpoint_every
+        ]
+        failed = self._checkpoint_isolated(due, tick, "checkpoint failed")
+        report.quarantined.extend(failed)
+        failed_ids = {sid for sid, _ in failed}
+        report.checkpointed.extend(sid for sid in due if sid not in failed_ids)
 
     def drain(self, tick: Optional[int] = None) -> List[str]:
         """Checkpoint every live session, now (clean-shutdown flush).
@@ -605,37 +621,72 @@ class FleetSupervisor:
         """
         if tick is None:
             tick = max(0, self.tick_count - 1)
-        drained: List[str] = []
-        for session in self.active:
-            if session.last_checkpoint_tick == tick:
-                drained.append(session.session_id)
-                continue
-            try:
-                self.checkpoint(session.session_id, tick)
-            except SessionStoreError as exc:
-                self._quarantine(
-                    [session.session_id], f"drain checkpoint failed: {exc}",
-                    tick=tick,
-                )
-            else:
-                drained.append(session.session_id)
+        live = [session.session_id for session in self.active]
+        due = [
+            sid for sid in live if self.sessions[sid].last_checkpoint_tick != tick
+        ]
+        failed = self._checkpoint_isolated(due, tick, "drain checkpoint failed")
+        failed_ids = {sid for sid, _ in failed}
+        drained = [sid for sid in live if sid not in failed_ids]
         self._obs.log_event("fleet_drain", tick=tick, sessions=drained)
         return drained
 
-    def checkpoint(self, session_id: str, tick: int) -> SessionSnapshot:
-        """Write one session's current state to the store, now."""
-        session = self.sessions[session_id]
-        if self._pack is not None and not session.quarantined:
-            self._pack.writeback(self._pack.lane_of(session.supervisor.guard))
-        session.checkpoint_version += 1
-        snapshot = SessionSnapshot.create(
-            session_id=session_id,
-            version=session.checkpoint_version,
-            payload=session.snapshot_payload(tick),
-        )
-        self.store.save(snapshot)
-        session.last_checkpoint_tick = tick
-        return snapshot
+    def _checkpoint_isolated(
+        self, session_ids: List[str], tick: int, prefix: str
+    ) -> List[Tuple[str, str]]:
+        """Checkpoint ``session_ids`` in one store write, isolating failures.
+
+        The batch is all-or-none, so when it fails every session is
+        written again on its own: only a session whose own write fails is
+        quarantined, with reason ``"<prefix>: <error>"``.  Returns the
+        ``(session_id, reason)`` of each quarantine.
+        """
+        failed: List[Tuple[str, str]] = []
+        if not session_ids:
+            return failed
+        try:
+            self.checkpoint(session_ids, tick)
+        except SessionStoreError:
+            for sid in session_ids:
+                try:
+                    self.checkpoint(sid, tick)
+                except SessionStoreError as exc:
+                    reason = f"{prefix}: {exc}"
+                    self._quarantine([sid], reason, tick=tick)
+                    failed.append((sid, reason))
+        return failed
+
+    def checkpoint(
+        self, session_ids: Union[str, Sequence[str]], tick: int
+    ) -> Union[SessionSnapshot, List[SessionSnapshot]]:
+        """Write sessions' current state to the store, now.
+
+        Takes one session id (returns its snapshot) or several (returns
+        their snapshots, in order).  Several are written in a single
+        all-or-none :meth:`SessionStore.save`; each session's
+        ``checkpoint_version`` and ``last_checkpoint_tick`` advance only
+        once that write has committed.
+        """
+        single = isinstance(session_ids, str)
+        ids = [session_ids] if single else list(session_ids)
+        snapshots: List[SessionSnapshot] = []
+        for sid in ids:
+            session = self.sessions[sid]
+            if self._pack is not None and not session.quarantined:
+                self._pack.writeback(self._pack.lane_of(session.supervisor.guard))
+            snapshots.append(
+                SessionSnapshot.create(
+                    session_id=sid,
+                    version=session.checkpoint_version + 1,
+                    payload=session.snapshot_payload(tick),
+                )
+            )
+        self.store.save(snapshots)
+        for snapshot in snapshots:
+            session = self.sessions[snapshot.session_id]
+            session.checkpoint_version = snapshot.version
+            session.last_checkpoint_tick = tick
+        return snapshots[0] if single else snapshots
 
     # -- reporting ---------------------------------------------------------------
 

@@ -21,6 +21,7 @@ import pytest
 from repro.core.thresholds import SafetyThresholds
 from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
 from repro.experiments.fleet import (
+    DROPOUT_EVERY,
     frame_for,
     frames_from_trace,
     run_fleet_campaign,
@@ -112,32 +113,82 @@ class TestSessionStore:
         assert store.session_ids() == ["b"]
         assert store.versions("a") == []
 
+    def test_batch_round_trip(self, store):
+        batch = [SessionSnapshot.create(sid, 1, payload(sid)) for sid in "abc"]
+        store.save(batch)
+        assert store.session_ids() == ["a", "b", "c"]
+        for snap in batch:
+            assert store.load(snap.session_id) == snap
+
+    def test_batch_with_a_stored_version_writes_none(self, store):
+        store.save(SessionSnapshot.create("b", 1, payload("b", tick=1)))
+        batch = [
+            SessionSnapshot.create("a", 1, payload("a")),
+            SessionSnapshot.create("b", 1, payload("b", tick=2)),
+            SessionSnapshot.create("c", 1, payload("c")),
+        ]
+        with pytest.raises(SessionStoreError, match="already has"):
+            store.save(batch)
+        assert store.session_ids() == ["b"]
+        assert store.load("b").payload["tick"] == 1
+
+    def test_batch_repeating_a_version_writes_none(self, store):
+        batch = [
+            SessionSnapshot.create("a", 1, payload("a", tick=1)),
+            SessionSnapshot.create("a", 1, payload("a", tick=2)),
+        ]
+        with pytest.raises(SessionStoreError, match="already has"):
+            store.save(batch)
+        assert store.session_ids() == []
+
 
 class _FlakyStore(InMemorySessionStore):
-    """Fails the first ``failures`` save calls with a transient error."""
+    """Fails writes that touch a session in ``failing`` (transient error).
 
-    def __init__(self, failures: int) -> None:
+    ``failures`` caps how many writes fail (``None``: every one);
+    ``attempts`` counts every ``save`` call.
+    """
+
+    def __init__(self, failing=(), failures=None) -> None:
         super().__init__()
+        self.failing = set(failing)
         self.failures = failures
         self.attempts = 0
 
-    def save(self, snapshot: SessionSnapshot) -> None:
+    def save(self, snapshots) -> None:
         self.attempts += 1
-        if self.attempts <= self.failures:
+        batch = [snapshots] if isinstance(snapshots, SessionSnapshot) else snapshots
+        if any(snap.session_id in self.failing for snap in batch) and (
+            self.failures is None or self.failures > 0
+        ):
+            if self.failures is not None:
+                self.failures -= 1
             raise OSError("disk hiccup")
-        super().save(snapshot)
+        super().save(snapshots)
+
+
+class _CountingStore(InMemorySessionStore):
+    """Records the size of every ``save`` call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.batches = []
+
+    def save(self, snapshots) -> None:
+        self.batches.append(len(snapshots))
+        super().save(snapshots)
 
 
 class TestRetryingStore:
     def test_transient_failures_are_retried(self):
-        flaky = _FlakyStore(failures=2)
+        flaky = _FlakyStore({"s"}, failures=2)
         retrying = RetryingSessionStore(flaky, retries=2, backoff_s=0.0)
         retrying.save(SessionSnapshot.create("s", 1, payload()))
         assert flaky.attempts == 3
         assert retrying.load("s").version == 1
 
     def test_exhausted_retries_surface_as_store_error(self):
-        flaky = _FlakyStore(failures=5)
+        flaky = _FlakyStore({"s"})
         retrying = RetryingSessionStore(flaky, retries=2, backoff_s=0.0)
         with pytest.raises(SessionStoreError, match="after 3 attempt"):
             retrying.save(SessionSnapshot.create("s", 1, payload()))
@@ -421,6 +472,108 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="snapshot version"):
             session.restore_payload(bad)
 
+    def test_resume_into_a_frame_without_measurement(self, store):
+        """A resumed session keeps its restored estimator: resumed right
+        before a frame that carries no measurement, it must still
+        evaluate that frame exactly like the uninterrupted run."""
+        cfg = FleetConfig(checkpoint_every=16)
+        # Ticks 0..32 checkpoint at 32; frame 33 is a dropout.
+        assert 33 % DROPOUT_EVERY == DROPOUT_EVERY - 1
+        base = run_fleet_campaign(num_sessions=1, ticks=48, seed=3, config=cfg)
+        run_fleet_campaign(num_sessions=1, ticks=33, seed=3, config=cfg, store=store)
+        resumed = run_fleet_campaign(
+            num_sessions=1, ticks=48, seed=3, config=cfg, store=store, resume=True
+        )
+        session = resumed.supervisor.sessions[session_id(0)]
+        assert session.last_checkpoint_tick == 32
+        assert resumed.fingerprints == base.fingerprints
+
+    def test_failed_restore_registers_a_quarantined_session(self):
+        store = InMemorySessionStore()
+        bad = FleetSession(spec("bad"), FleetConfig()).snapshot_payload(0)
+        bad["version"] = 99
+        store.save(SessionSnapshot.create("bad", 1, bad))
+        fleet = FleetSupervisor(store=store, config=FleetConfig())
+        fleet.register(spec("ok"))
+        with pytest.raises(ValueError, match="snapshot version"):
+            fleet.resume(spec("bad"))
+        session = fleet.sessions["bad"]
+        assert session.quarantined
+        assert session.quarantine_reason == "restore failed"
+        assert session.health == "estopped"
+        assert [s.session_id for s in fleet.active] == ["ok"]
+        # The live session's lane still runs.
+        fleet.ingest("ok", nominal_frame(0))
+        assert fleet.tick(0).frames_processed == 1
+        with pytest.raises(FleetError, match="already registered"):
+            fleet.resume(spec("bad"))
+
+    def test_resume_into_a_full_fleet_raises(self, store):
+        store.save(SessionSnapshot.create("s", 1, payload()))
+        fleet = FleetSupervisor(store=store, config=FleetConfig(max_sessions=1))
+        fleet.register(spec("a"))
+        with pytest.raises(FleetError, match="fleet is full"):
+            fleet.resume(spec("s"))
+        assert list(fleet.sessions) == ["a"]
+
+
+class TestBatchedCheckpoint:
+    def _drive(self, fleet, sessions, ticks):
+        reports = []
+        for tick in ticks:
+            for i in range(sessions):
+                sid = session_id(i)
+                if not fleet.sessions[sid].quarantined:
+                    fleet.ingest(sid, frame_for(1, i, tick))
+            reports.append(fleet.tick(tick))
+        return reports
+
+    def test_one_store_write_per_checkpoint_tick(self):
+        counting = _CountingStore()
+        fleet = FleetSupervisor(store=counting, config=FleetConfig(checkpoint_every=4))
+        for i in range(64):
+            fleet.register(spec(session_id(i)))
+        reports = self._drive(fleet, 64, range(9))
+        assert counting.batches == [64, 64, 64]
+        assert [len(r.checkpointed) for r in reports] == [64, 0, 0, 0, 64, 0, 0, 0, 64]
+        assert all(s.checkpoint_version == 3 for s in fleet.sessions.values())
+
+    def test_failing_session_is_quarantined_alone(self):
+        backend = _FlakyStore()
+        cfg = FleetConfig(checkpoint_every=4, store_retries=0, store_backoff_s=0.0)
+        fleet = FleetSupervisor(store=backend, config=cfg)
+        for i in range(3):
+            fleet.register(spec(session_id(i)))
+        self._drive(fleet, 3, range(4))
+        assert {sid: s.checkpoint_version for sid, s in fleet.sessions.items()} == {
+            session_id(i): 1 for i in range(3)
+        }
+
+        backend.failing = {session_id(1)}
+        (report,) = self._drive(fleet, 3, [4])
+        assert report.checkpointed == [session_id(0), session_id(2)]
+        [(sid, reason)] = report.quarantined
+        assert sid == session_id(1)
+        assert reason.startswith("checkpoint failed: ")
+        bad = fleet.sessions[session_id(1)]
+        assert bad.quarantined and bad.quarantine_reason == reason
+        # The failed write advanced nothing; the others are persisted.
+        assert (bad.checkpoint_version, bad.last_checkpoint_tick) == (1, 0)
+        assert backend.versions(session_id(1)) == [1]
+        for sid in (session_id(0), session_id(2)):
+            assert fleet.sessions[sid].checkpoint_version == 2
+            assert fleet.sessions[sid].last_checkpoint_tick == 4
+            assert backend.load(sid).payload["tick"] == 4
+
+    def test_explicit_batch_checkpoint_returns_snapshots(self, store):
+        fleet = FleetSupervisor(store=store, config=FleetConfig(checkpoint_every=1000))
+        for sid in ("a", "b"):
+            fleet.register(spec(sid))
+        snaps = fleet.checkpoint(["a", "b"], 7)
+        assert [(s.session_id, s.version) for s in snaps] == [("a", 1), ("b", 1)]
+        assert store.load("b") == snaps[1]
+        assert fleet.sessions["a"].last_checkpoint_tick == 7
+
 
 class TestDrain:
     def test_drain_checkpoints_every_live_session(self, store):
@@ -462,7 +615,7 @@ class TestDrain:
         assert fleet.sessions["s"].checkpoint_version == version
 
     def test_drain_store_failure_quarantines_not_fatal(self):
-        flaky = _FlakyStore(failures=0)
+        flaky = _FlakyStore()
         fleet = FleetSupervisor(
             store=flaky,
             config=FleetConfig(
@@ -475,9 +628,8 @@ class TestDrain:
             fleet.ingest("a", nominal_frame(tick))
             fleet.ingest("b", nominal_frame(tick))
             fleet.tick(tick)
-        # The next save (session "a", registration order) blows up;
-        # "b" must still flush.
-        flaky.failures = flaky.attempts + 1
+        # Writes of session "a" blow up from here on; "b" must still flush.
+        flaky.failing = {"a"}
         drained = fleet.drain()
         assert drained == ["b"]
         assert fleet.sessions["a"].quarantined
