@@ -89,6 +89,10 @@ class OperationalStateMachine:
         """Register a callback invoked as ``fn(old, new)`` on transitions."""
         self._listeners.append(fn)
 
+    def remove_listener(self, fn: Callable[[RobotState, RobotState], None]) -> None:
+        """Unregister a callback added with :meth:`add_listener`."""
+        self._listeners.remove(fn)
+
     def _move(self, new: RobotState, time: float) -> None:
         old = self._state
         if new is old:

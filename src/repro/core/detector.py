@@ -20,6 +20,7 @@ bit-exactly.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
@@ -31,6 +32,21 @@ from repro.core.thresholds import VARIABLE_GROUPS, SafetyThresholds
 from repro.errors import DetectorError
 from repro.obs.metrics import MARGIN_RATIO_BUCKETS
 from repro.obs.runtime import get_runtime
+
+
+def _peak_ratio(values: List[float], limits: List[float]) -> float:
+    """``float(np.max(np.abs(values) / limits))`` on Python floats.
+
+    Keeps ``np.maximum``'s reduction rule, under which the first NaN
+    wins wherever it sits: a NaN axis gives its group a NaN margin and
+    no alarm.  Python's ``max`` would depend on the NaN's position.
+    """
+    peak = None
+    for value, limit in zip(values, limits):
+        ratio = abs(value) / limit
+        if peak is None or not (peak >= ratio or math.isnan(peak)):
+            peak = ratio
+    return peak
 
 
 class FusionRule(enum.Enum):
@@ -202,9 +218,9 @@ class AnomalyDetector:
         alarms: Dict[str, bool] = {}
         margins: Dict[str, float] = {}
         for group in VARIABLE_GROUPS:
-            limit = getattr(thresholds, group)
-            value = np.abs(getattr(estimate, group))
-            ratio = float(np.max(value / limit))
+            ratio = _peak_ratio(
+                getattr(estimate, group).tolist(), getattr(thresholds, group).tolist()
+            )
             alarms[group] = ratio > 1.0
             margins[group] = ratio
         raw_alert = self.fusion.decide(alarms)

@@ -31,7 +31,7 @@ from repro.dynamics.friction import FrictionModel
 from repro.dynamics.integrators import get_integrator
 from repro.dynamics.manipulator import ManipulatorDynamics, ManipulatorParameters
 from repro.dynamics.motor import MotorParameters
-from repro.dynamics.plant import DEFAULT_MOTORS, dac_to_current
+from repro.dynamics.plant import DEFAULT_MOTORS
 from repro.dynamics.transmission import Transmission
 from repro.obs.runtime import get_runtime
 from repro.obs.timing import Stopwatch
@@ -109,6 +109,11 @@ class RavenDynamicModel:
         self._refl_b = self.transmission.reflected_damping(
             [m.viscous_damping for m in self.motors]
         )
+        # Float copies for the per-call glue, and G for the motor states.
+        self._kt_floats = self._kt.tolist()
+        self._i_max_floats = self._i_max.tolist()
+        self._g = self.transmission.joint_to_motor
+        self._stopwatch = Stopwatch()
         #: Cumulative wall-clock statistics of :meth:`predict` (Figure 8).
         self.predict_calls = 0
         self.predict_seconds = 0.0
@@ -134,8 +139,20 @@ class RavenDynamicModel:
         Returns the next ``(jpos, jvel)``.  No timing bookkeeping — use
         :meth:`predict` for the instrumented path.
         """
-        setpoints = np.clip(dac_to_current(dac_values), -self._i_max, self._i_max)
-        tau_joint = self.transmission.joint_torques(self._kt * setpoints)
+        y = self._advance(jpos, jvel, dac_values)
+        return y[0:3], y[3:6]
+
+    def _advance(
+        self, jpos: np.ndarray, jvel: np.ndarray, dac_values: Sequence[float]
+    ) -> np.ndarray:
+        """The state ``[jpos, jvel]`` one control period on, as one array."""
+        # Motor torques kt * clip(dac_to_current(dac)), on floats.
+        full_scale, full_current = constants.DAC_FULL_SCALE, constants.DAC_FULL_SCALE_CURRENT_A
+        torques = [
+            kt * min(max(float(dac) / full_scale * full_current, -i_max), i_max)
+            for dac, kt, i_max in zip(dac_values, self._kt_floats, self._i_max_floats)
+        ]
+        tau_joint = self.transmission.joint_torques(np.array(torques))
         dynamics = self.dynamics
         refl_m, refl_b = self._refl_m, self._refl_b
 
@@ -145,8 +162,7 @@ class RavenDynamicModel:
             )
             return np.concatenate([y[3:6], qddot])
 
-        y = self._stepper(f, 0.0, np.concatenate([jpos, jvel]), self.dt)
-        return y[0:3], y[3:6]
+        return self._stepper(f, 0.0, np.concatenate([jpos, jvel]), self.dt)
 
     def predict(
         self, jpos: np.ndarray, jvel: np.ndarray, dac_values: Sequence[float]
@@ -157,18 +173,21 @@ class RavenDynamicModel:
         "Avg. Time/Step"; it must stay well below the 1 ms real-time
         budget for the detector to run in-line with the control loop.
         """
-        with Stopwatch() as probe:
-            jpos_next, jvel_next = self.step(jpos, jvel, dac_values)
+        probe = self._stopwatch
+        with probe:
+            y = self._advance(jpos, jvel, dac_values)
         elapsed = probe.elapsed_s
         self.predict_calls += 1
         self.predict_seconds += elapsed
         if self._predict_hist is not None:
             self._predict_hist.observe(elapsed)
+        # G @ jpos and G @ jvel as one stacked matvec (same BLAS calls).
+        motor = np.matmul(self._g, y.reshape(2, 3, 1)).reshape(2, 3)
         return ModelPrediction(
-            jpos=jpos_next,
-            jvel=jvel_next,
-            mpos=self.transmission.motor_positions(jpos_next),
-            mvel=self.transmission.motor_velocities(jvel_next),
+            jpos=y[0:3],
+            jvel=y[3:6],
+            mpos=motor[0],
+            mvel=motor[1],
             elapsed_s=elapsed,
         )
 

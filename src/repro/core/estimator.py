@@ -152,12 +152,23 @@ class NextStateEstimator:
         if self._jpos is None:
             self._jvel = np.zeros(3)
         else:
-            raw_vel = (jpos - self._jpos) / self.dt
-            measured = self.alpha * raw_vel + (1.0 - self.alpha) * self._jvel
+            # Elementwise on floats, in the order of the array expressions
+            # raw = (jpos - old) / dt; measured = a * raw + (1 - a) * jvel;
+            # jvel = 0.5 * predicted + 0.5 * measured.
+            dt, alpha = self.dt, self.alpha
+            keep = 1.0 - alpha
+            measured = [
+                alpha * ((new - old) / dt) + keep * vel
+                for new, old, vel in zip(
+                    jpos.tolist(), self._jpos.tolist(), self._jvel.tolist()
+                )
+            ]
             if self._predicted_jvel is not None:
-                self._jvel = 0.5 * self._predicted_jvel + 0.5 * measured
-            else:
-                self._jvel = measured
+                measured = [
+                    0.5 * predicted + 0.5 * value
+                    for predicted, value in zip(self._predicted_jvel.tolist(), measured)
+                ]
+            self._jvel = np.array(measured)
         self._jpos = jpos
         self._predicted_jpos = None
         self._predicted_jvel = None

@@ -610,7 +610,7 @@ class GuardSupervisor:
     # -- degraded-mode machinery -------------------------------------------------
 
     def _plausible(self, mpos: np.ndarray) -> bool:
-        if not np.all(np.isfinite(mpos)):
+        if not np.isfinite(mpos).all():
             return False
         if self._last_mpos is None:
             return True

@@ -25,7 +25,11 @@ The bit-identity recipe, validated empirically against this build's BLAS:
   keep the lane's branch) — never arithmetic masking, which perturbs
   rounding.
 
-The scalar modules stay untouched and remain the N=1 special case.
+The scalar modules remain the N=1 special case.  The scalar
+``ManipulatorDynamics.acceleration`` follows the same recipe in its
+fused float form; the rules and measured mismatch rates behind it are in
+the :mod:`repro.dynamics.manipulator` docstring and in the "The physics"
+section of ``docs/architecture.md``.
 """
 
 from __future__ import annotations
@@ -226,7 +230,7 @@ def batched_friction_torque(
 
 
 def _check_finite_batch(y: np.ndarray, method: str) -> np.ndarray:
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         bad = np.nonzero(~np.isfinite(y).all(axis=tuple(range(1, y.ndim))))[0]
         raise IntegrationError(
             f"{method} produced a non-finite state in lanes {bad.tolist()}"

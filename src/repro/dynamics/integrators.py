@@ -22,7 +22,7 @@ Derivative = Callable[[float, np.ndarray], np.ndarray]
 
 
 def _check_finite(y: np.ndarray, method: str) -> np.ndarray:
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise IntegrationError(f"{method} produced a non-finite state: {y!r}")
     return y
 

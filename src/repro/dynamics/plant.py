@@ -227,14 +227,16 @@ class RavenPlant:
         """
         transmission = self.transmission
         dynamics = self.dynamics
-        kt = self._kt
         refl_m = self._reflected_inertia
         refl_b = self._reflected_damping
         tau_i = self._tau_i
+        per_motor = list(zip(self._kt.tolist(), setpoints.tolist(), i0.tolist()))
 
         def f(t: float, y: np.ndarray) -> np.ndarray:
-            cur = setpoints + (i0 - setpoints) * np.exp(-(t - t0) / tau_i)
-            tau_joint = transmission.joint_torques(kt * cur)
+            decay = np.exp(-(t - t0) / tau_i).tolist()
+            # Motor torque kt * (sp + (i0 - sp) * decay), on floats.
+            torques = [kt * (sp + (i - sp) * e) for (kt, sp, i), e in zip(per_motor, decay)]
+            tau_joint = transmission.joint_torques(np.array(torques))
             qddot = dynamics.acceleration(
                 y[0:3],
                 y[3:6],
@@ -264,7 +266,7 @@ class RavenPlant:
             dac_values = np.zeros(3)
             self._brake_countdown -= dt
         setpoints = dac_to_current(dac_values)
-        setpoints = np.clip(setpoints, -self._i_max, self._i_max)
+        setpoints = np.minimum(np.maximum(setpoints, -self._i_max), self._i_max)
         i0 = self._y[6:9].copy()
         t0 = self._time
         f = self._derivative(setpoints, i0, t0)

@@ -15,30 +15,37 @@ would cause a >1 mm jump.
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 import numpy as np
 
 from repro.kinematics.spherical_arm import SphericalArm
 
-_Z_HAT = np.array([0.0, 0.0, 1.0])
+#: One 3x3 Jacobian as nine floats, row-major.
+JacobianEntries = Tuple[float, ...]
+
+
+def jacobian_entries(axes: Sequence[float], d: float) -> JacobianEntries:
+    """Entries of the position Jacobian at depth ``d``: nine floats, row-major.
+
+    ``axes`` is :meth:`SphericalArm.pose_axes` — the tool axis ``u`` and
+    the joint-2 axis ``a`` — so one pose's trig serves every depth
+    evaluated there (the dynamics kernel uses both the instrument depth
+    and link 2's centre-of-mass radius).  Hand-expanded cross products.
+    """
+    ux, uy, uz, ax, ay, az = axes
+    # column 0: d * (z_hat x u); column 1: d * (a2 x u); column 2: u
+    return (
+        -d * uy, d * (ay * uz - az * uy), ux,
+        d * ux, d * (az * ux - ax * uz), uy,
+        0.0, d * (ax * uy - ay * ux), uz,
+    )  # fmt: skip
 
 
 def position_jacobian(arm: SphericalArm, q: np.ndarray) -> np.ndarray:
-    """3x3 Jacobian of the tool-tip position w.r.t. ``q = (q1, q2, d)``.
-
-    Hand-expanded cross products: this routine is evaluated several times
-    per dynamics derivative call, so it avoids ``np.cross`` overhead.
-    """
+    """3x3 Jacobian of the tool-tip position w.r.t. ``q = (q1, q2, d)``."""
     q1, q2, d = float(q[0]), float(q[1]), float(q[2])
-    ux, uy, uz = arm.tool_axis(q1, q2)
-    ax, ay, az = arm.joint2_axis(q1)
-    # column 0: d * (z_hat x u); column 1: d * (a2 x u); column 2: u
-    return np.array(
-        [
-            [-d * uy, d * (ay * uz - az * uy), ux],
-            [d * ux, d * (az * ux - ax * uz), uy],
-            [0.0, d * (ax * uy - ay * ux), uz],
-        ]
-    )
+    return np.array(jacobian_entries(arm.pose_axes(q1, q2), d)).reshape(3, 3)
 
 
 def tip_velocity(arm: SphericalArm, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:

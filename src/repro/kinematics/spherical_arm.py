@@ -78,12 +78,15 @@ class SphericalArm:
 
     # -- forward ------------------------------------------------------------
 
-    def tool_axis(self, q1: float, q2: float) -> np.ndarray:
-        """Unit vector along the instrument axis in the world frame.
+    def pose_axes(self, q1: float, q2: float) -> Tuple[float, ...]:
+        """Tool axis ``u`` and joint-2 axis ``a`` at one pose, as six floats
+        ``(ux, uy, uz, ax, ay, az)``.
 
-        Closed-form expansion of ``Rz(q1) Rx(a1) Rz(q2) Rx(a2) z_hat`` —
-        this is the hottest kinematic routine (the dynamics evaluate it
-        several times per derivative call), so it avoids matrix products.
+        Closed-form expansion of ``u = Rz(q1) Rx(a1) Rz(q2) Rx(a2) z_hat``
+        and ``a = Rz(q1) Rx(a1) z_hat``.  This is the hottest kinematic
+        routine (the dynamics evaluate it twice per derivative call), so
+        it avoids matrix products and numpy scalars, and evaluates the
+        ``q1`` trig once for both axes.
         """
         sa1, ca1 = self._sin_a1, self._cos_a1
         sa2, ca2 = self._sin_a2, self._cos_a2
@@ -96,7 +99,18 @@ class SphericalArm:
         gz = sa1 * fy + ca1 * fz
         # u = Rz(q1) @ g
         s1, c1 = math.sin(q1), math.cos(q1)
-        return np.array([c1 * gx - s1 * gy, s1 * gx + c1 * gy, gz])
+        return (
+            c1 * gx - s1 * gy,
+            s1 * gx + c1 * gy,
+            gz,
+            sa1 * s1,
+            -sa1 * c1,
+            ca1,
+        )
+
+    def tool_axis(self, q1: float, q2: float) -> np.ndarray:
+        """Unit vector along the instrument axis in the world frame."""
+        return np.array(self.pose_axes(q1, q2)[:3])
 
     def joint2_axis(self, q1: float) -> np.ndarray:
         """Unit vector of the joint-2 rotation axis in the world frame."""

@@ -312,6 +312,7 @@ class BatchedSurgicalRig:
         obs = get_runtime()
         configs = [rig.config for rig in self.rigs]
         traces: List[RunTrace] = []
+        listeners = []
         started = [False] * self.num_lanes
 
         for i, rig in enumerate(self.rigs):
@@ -336,6 +337,7 @@ class BatchedSurgicalRig:
                     )
 
             rig.controller.state_machine.add_listener(on_transition)
+            listeners.append(on_transition)
 
         steps = int(round(configs[0].duration_s / constants.CONTROL_PERIOD_S))
         run_span = (
@@ -415,6 +417,10 @@ class BatchedSurgicalRig:
                     )
                     if rig.flight is not None:
                         rig._flight_cycle(k, now, out, snapshot)
+        # As in SurgicalRig.run: unregistered, the listeners no longer keep
+        # each lane's rig and trace in a reference cycle.
+        for rig, listener in zip(self.rigs, listeners):
+            rig.controller.state_machine.remove_listener(listener)
 
         for i, rig in enumerate(self.rigs):
             if rig.guard is not None:

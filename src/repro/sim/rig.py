@@ -298,6 +298,9 @@ class SurgicalRig:
                 )
                 if self.flight is not None:
                     self._flight_cycle(k, now, out, snapshot)
+        # The listener closes over this rig and its trace; left registered,
+        # that cycle would keep the whole trace alive until a full GC.
+        self.controller.state_machine.remove_listener(on_transition)
 
         if self.guard is not None:
             trace.detector_alert_cycles = [

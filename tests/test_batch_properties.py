@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.dynamic_model import RavenDynamicModel
 from repro.dynamics.batch import (
     BATCH_INTEGRATORS,
     BatchedManipulatorDynamics,
@@ -57,7 +58,28 @@ torques = st.tuples(
 param_scales = st.floats(0.7, 1.4)
 
 
-def make_lane(scale: float) -> ManipulatorDynamics:
+#: Velocities whose norm stays at or below the Coriolis epsilon (1e-12),
+#: so the still-arm branch is the one taken.
+still_velocities = st.tuples(
+    st.floats(-5e-13, 5e-13), st.floats(-5e-13, 5e-13), st.floats(-5e-13, 5e-13)
+).map(np.array)
+
+
+def _rotor_terms():
+    """The reflected rotor inertia and damping every model and plant call
+    passes as ``extra_inertia`` / ``extra_damping``."""
+    model = RavenDynamicModel()
+    transmission = model.transmission
+    return (
+        transmission.reflected_inertia([m.rotor_inertia for m in model.motors]),
+        transmission.reflected_damping([m.viscous_damping for m in model.motors]),
+    )
+
+
+ROTOR_INERTIA, ROTOR_DAMPING = _rotor_terms()
+
+
+def make_lane(scale: float, **flags: bool) -> ManipulatorDynamics:
     params = ManipulatorParameters(
         base_inertias=np.array([0.02, 0.02, 0.005]) * scale,
         link2_mass=0.35 * scale,
@@ -68,7 +90,7 @@ def make_lane(scale: float) -> ManipulatorDynamics:
         viscous=np.array([0.08, 0.08, 3.0]) * scale,
         coulomb=np.array([0.05, 0.05, 1.0]) * scale,
     )
-    return ManipulatorDynamics(params=params, friction=friction)
+    return ManipulatorDynamics(params=params, friction=friction, **flags)
 
 
 lane_batches = st.lists(param_scales, min_size=1, max_size=6)
@@ -112,6 +134,44 @@ class TestManipulatorKernels:
         a = batched.acceleration(qs, qdots, taus)
         for i, lane in enumerate(lanes):
             assert np.array_equal(a[i], lane.acceleration(qs[i], qdots[i], taus[i]))
+
+    @staticmethod
+    def assert_equal_with_rotor_terms(lanes, q, qdot, tau):
+        """Scalar ``acceleration`` per lane equals the batched lanes, bytes
+        included, on heterogeneous per-lane states, with the arguments the
+        model and the plant really pass: the motor rotors' reflected
+        inertia and damping."""
+        n = len(lanes)
+        qs = np.stack([q + 0.01 * i for i in range(n)])
+        qdots = np.stack([qdot * (1.0 + 0.1 * i) for i in range(n)])
+        taus = np.stack([tau * (1.0 - 0.05 * i) for i in range(n)])
+        extra = {"extra_inertia": ROTOR_INERTIA, "extra_damping": ROTOR_DAMPING}
+        a = BatchedManipulatorDynamics(lanes).acceleration(qs, qdots, taus, **extra)
+        for i, lane in enumerate(lanes):
+            scalar = lane.acceleration(qs[i], qdots[i], taus[i], **extra)
+            assert a[i].tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"include_coriolis": False}, {"include_gravity": False}],
+        ids=["all_terms", "no_coriolis", "no_gravity"],
+    )
+    @given(scales=lane_batches, q=joint_vectors, qdot=velocities, tau=torques)
+    @settings(max_examples=20, deadline=None)
+    def test_acceleration_with_rotor_terms(self, flags, scales, q, qdot, tau):
+        lanes = [make_lane(s, **flags) for s in scales]
+        self.assert_equal_with_rotor_terms(lanes, q, qdot, tau)
+
+    @given(
+        scales=lane_batches,
+        q=joint_vectors,
+        qdot=st.one_of(slow_velocities, still_velocities),
+        tau=torques,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_still_arm_branch_with_rotor_terms(self, scales, q, qdot, tau):
+        lanes = [make_lane(s) for s in scales]
+        self.assert_equal_with_rotor_terms(lanes, q, qdot, tau)
 
     @given(scales=lane_batches, q=joint_vectors, qdot=velocities, tau=torques)
     @settings(max_examples=15, deadline=None)

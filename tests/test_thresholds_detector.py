@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.detector import AnomalyDetector, FusionRule
 from repro.core.estimator import StateEstimate
-from repro.core.thresholds import SafetyThresholds, ThresholdLearner
+from repro.core.thresholds import VARIABLE_GROUPS, SafetyThresholds, ThresholdLearner
 from repro.errors import DetectorError
 
 
@@ -179,6 +179,28 @@ class TestAnomalyDetector:
         assert not detector.evaluate(make_estimate(mv=1.0, ma=1.0, jv=0.1)).alert
         detector.calibrate(tight_thresholds)
         assert detector.evaluate(make_estimate(mv=1.0, ma=1.0, jv=0.1)).alert
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("group", VARIABLE_GROUPS)
+    def test_nan_axis_gives_nan_margin_and_no_alarm(self, loose_thresholds, group, axis):
+        """A NaN on any axis makes its group's margin NaN, as ``np.max``
+        does, so that group cannot alarm — even with its other axes far
+        over the limit, and wherever the NaN sits."""
+        hot = {g: np.full(3, 1e6) for g in VARIABLE_GROUPS}
+        hot[group][axis] = np.nan
+        estimate = StateEstimate(
+            **hot, jpos_next=np.zeros(3), jvel_next=np.zeros(3), elapsed_s=0.0
+        )
+        result = AnomalyDetector(loose_thresholds).evaluate(estimate)
+        assert np.isnan(result.margins[group])
+        assert not result.alarms[group]
+        assert not result.alert  # ALL fusion: one silent group vetoes
+        for other in VARIABLE_GROUPS:
+            if other != group:
+                assert result.alarms[other]
+                assert result.margins[other] > 1.0
+        anyone = AnomalyDetector(loose_thresholds, fusion=FusionRule.ANY)
+        assert anyone.evaluate(estimate).alert
 
     def test_per_axis_maximum_drives_alarm(self, loose_thresholds):
         detector = AnomalyDetector(loose_thresholds, fusion=FusionRule.ANY)
