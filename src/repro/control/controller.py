@@ -30,11 +30,14 @@ from repro import constants
 from repro.control.pid import MotorPid
 from repro.control.safety import SafetyChecker, SafetyDecision, WatchdogGenerator
 from repro.control.state_machine import OperationalStateMachine, RobotState
-from repro.dynamics.plant import current_to_dac
 from repro.dynamics.transmission import Transmission
 from repro.errors import ChecksumError, InverseKinematicsError, PacketError
-from repro.hw.encoder import EncoderBank
-from repro.hw.usb_packet import decode_feedback_packet, encode_command_packet
+from repro.hw.encoder import EncoderBank, rint_int64
+from repro.hw.usb_packet import (
+    FEEDBACK_PACKET_SIZE,
+    decode_feedback_packet,
+    encode_command_packet,
+)
 from repro.kinematics.frames import quat_multiply, quat_normalize
 from repro.kinematics.spherical_arm import SphericalArm
 from repro.kinematics.workspace import Workspace
@@ -135,8 +138,6 @@ class RavenController:
 
     def _read_feedback(self) -> tuple[np.ndarray, RobotState]:
         """Read the USB feedback packet: motor positions + PLC state echo."""
-        from repro.hw.usb_packet import FEEDBACK_PACKET_SIZE
-
         data = self.process.read(self.usb_fd, FEEDBACK_PACKET_SIZE)
         feedback = decode_feedback_packet(data)
         mpos = self.encoders.to_radians(feedback.encoder_counts[:3])
@@ -208,10 +209,16 @@ class RavenController:
 
         if state is RobotState.PEDAL_DOWN:
             current_cmd = self.pid.update(mpos_d, mpos)
-            dac = np.rint(current_to_dac(current_cmd)).astype(int)
+            # np.rint(current_to_dac(current_cmd)).astype(int), on floats.
+            full_current = constants.DAC_FULL_SCALE_CURRENT_A
+            full_scale = constants.DAC_FULL_SCALE
+            dac = [
+                rint_int64(current / full_current * full_scale)
+                for current in np.asarray(current_cmd, dtype=float).tolist()
+            ]
         else:
             self.pid.reset()
-            dac = np.zeros(3, dtype=int)
+            dac = [0, 0, 0]
 
         decision = self.safety.check(dac, jpos_d)
         if not decision.safe:
@@ -219,7 +226,7 @@ class RavenController:
             # RAVEN behaviour: stop the watchdog, zero the command and
             # drop to E-STOP; the PLC will also see the watchdog freeze.
             self.watchdog.trip()
-            dac = np.zeros(3, dtype=int)
+            dac = [0, 0, 0]
             self.state_machine.emergency_stop(now, reason="; ".join(decision.reasons))
             state = self.state_machine.state
 
@@ -229,7 +236,7 @@ class RavenController:
         wrist_joints = self.wrist.step(wrist_targets, constants.CONTROL_PERIOD_S)
 
         wd_level = self.watchdog.tick()
-        usb_packet = encode_command_packet(state, wd_level, list(dac) + [0] * 5)
+        usb_packet = encode_command_packet(state, wd_level, dac)
         self.process.write(self.usb_fd, usb_packet)
 
         return ControllerOutput(
@@ -241,7 +248,7 @@ class RavenController:
             jpos_d=jpos_d.copy(),
             mpos=mpos,
             mpos_d=mpos_d,
-            dac=dac,
+            dac=np.array(dac, dtype=int),
             safety=decision,
             ori_d=self._ori_d.copy(),
             wrist_joints=wrist_joints,

@@ -13,7 +13,7 @@ converts to DAC counts; derivative action is taken on the measurement
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -71,19 +71,19 @@ class MotorPid:
         """
         self.gains = tuple(gains)
         n = len(self.gains)
-        self._kp = np.array([g.kp for g in self.gains])
-        self._ki = np.array([g.ki for g in self.gains])
-        self._kd = np.array([g.kd for g in self.gains])
-        self._int_limit = np.array([g.integral_limit for g in self.gains])
+        self._kp = [float(g.kp) for g in self.gains]
+        self._ki = [float(g.ki) for g in self.gains]
+        self._kd = [float(g.kd) for g in self.gains]
+        self._int_limit = [float(g.integral_limit) for g in self.gains]
         if output_limit_a is None:
             output_limit_a = [constants.DAC_FULL_SCALE_CURRENT_A] * n
-        self._out_limit = np.asarray(output_limit_a, dtype=float)
-        self._integral = np.zeros(n)
-        self._prev_measurement: Optional[np.ndarray] = None
+        self._out_limit = np.asarray(output_limit_a, dtype=float).tolist()
+        self._integral = [0.0] * n
+        self._prev_measurement: Optional[List[float]] = None
 
     def reset(self) -> None:
         """Clear integral state and derivative memory (on E-STOP/re-engage)."""
-        self._integral[:] = 0.0
+        self._integral = [0.0] * len(self.gains)
         self._prev_measurement = None
 
     def update(
@@ -92,24 +92,44 @@ class MotorPid:
         measurement: Sequence[float],
         dt: float = constants.CONTROL_PERIOD_S,
     ) -> np.ndarray:
-        """One PID step; returns the current command (A) per motor."""
-        setpoint = np.asarray(setpoint, dtype=float)
-        measurement = np.asarray(measurement, dtype=float)
-        error = setpoint - measurement
+        """One PID step; returns the current command (A) per motor.
 
-        self._integral = np.clip(
-            self._integral + error * dt, -self._int_limit, self._int_limit
-        )
-        if self._prev_measurement is None:
-            derivative = np.zeros_like(error)
+        Per axis, on floats, in the operation order of the vector form
+        ``kp * e + ki * clip(I + e * dt) + kd * -(m - m_prev) / dt``, so
+        every bit matches it.  ``min(max(v, lo), hi)`` is ``np.clip`` bit
+        for bit, NaN included, while the limits are non-zero.
+        """
+        setpoint = np.asarray(setpoint, dtype=float).tolist()
+        measurement = np.asarray(measurement, dtype=float).tolist()
+        error = [sp - m for sp, m in zip(setpoint, measurement)]
+
+        self._integral = [
+            min(max(i + e * dt, -limit), limit)
+            for i, e, limit in zip(self._integral, error, self._int_limit)
+        ]
+        prev = self._prev_measurement
+        if prev is None:
+            derivative = [0.0] * len(error)
         else:
-            derivative = -(measurement - self._prev_measurement) / dt
+            derivative = [-(m - p) / dt for m, p in zip(measurement, prev)]
         self._prev_measurement = measurement
 
-        out = self._kp * error + self._ki * self._integral + self._kd * derivative
-        return np.clip(out, -self._out_limit, self._out_limit)
+        return np.array(
+            [
+                min(max(kp * e + ki * i + kd * d, -limit), limit)
+                for kp, ki, kd, e, i, d, limit in zip(
+                    self._kp,
+                    self._ki,
+                    self._kd,
+                    error,
+                    self._integral,
+                    derivative,
+                    self._out_limit,
+                )
+            ]
+        )
 
     @property
     def integral(self) -> np.ndarray:
         """Current integral state (for tests and diagnostics)."""
-        return self._integral.copy()
+        return np.array(self._integral)

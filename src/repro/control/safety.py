@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from repro import constants
 from repro.kinematics.workspace import Workspace
 
@@ -63,16 +61,13 @@ class SafetyChecker:
 
     def check_dac(self, dac_values: Sequence[float]) -> SafetyDecision:
         """Threshold check on DAC commands (counts)."""
-        dac = np.asarray(dac_values, dtype=float)
-        over = np.abs(dac) > self.dac_limit
-        if not np.any(over):
-            return SafetyDecision(safe=True)
+        limit = self.dac_limit
         reasons = [
-            f"DAC channel {i} value {int(dac[i])} exceeds limit "
-            f"{self.dac_limit}"
-            for i in np.nonzero(over)[0]
+            f"DAC channel {i} value {int(dac)} exceeds limit {limit}"
+            for i, dac in enumerate(map(float, dac_values))
+            if abs(dac) > limit
         ]
-        return SafetyDecision(safe=False, reasons=reasons)
+        return SafetyDecision(safe=not reasons, reasons=reasons)
 
     def check_joint_targets(self, jpos_d: Sequence[float]) -> SafetyDecision:
         """Workspace check on desired joint positions."""

@@ -46,8 +46,8 @@ class TremorModel:
         self.omega = 2.0 * math.pi * frequency_hz
         self.damping = damping
         self._rng = rng
-        self._x = np.zeros(3)
-        self._v = np.zeros(3)
+        self._x = [0.0, 0.0, 0.0]
+        self._v = [0.0, 0.0, 0.0]
 
     def sample(self, dt: float) -> np.ndarray:
         """Advance one tick and return the tremor displacement (m).
@@ -60,12 +60,20 @@ class TremorModel:
         """
         if self.amplitude == 0.0:
             return np.zeros(3)
-        drive = self._rng.standard_normal(3) * self.omega**1.5 / math.sqrt(dt)
-        acc = drive - 2 * self.damping * self.omega * self._v - self.omega**2 * self._x
-        self._v = self._v + acc * dt
-        self._x = self._x + self._v * dt
+        # Per axis on floats, in the operation order of the vector form
+        # drive = n * w**1.5 / sqrt(dt); acc = drive - c * v - w**2 * x.
+        drive_gain, root_dt = self.omega**1.5, math.sqrt(dt)
+        damping = 2 * self.damping * self.omega
+        stiffness = self.omega**2
+        x_next, v_next = [], []
+        for n, x, v in zip(self._rng.standard_normal(3).tolist(), self._x, self._v):
+            acc = n * drive_gain / root_dt - damping * v - stiffness * x
+            v = v + acc * dt
+            x_next.append(x + v * dt)
+            v_next.append(v)
+        self._x, self._v = x_next, v_next
         scale = self.amplitude * 2.0 * math.sqrt(self.damping)
-        return self._x * scale
+        return np.array([x * scale for x in x_next])
 
 
 class Trajectory:
@@ -139,7 +147,7 @@ class CircleTrajectory(Trajectory):
         x = self.radius * math.cos(phase) - self.radius
         y = self.radius * math.sin(phase)
         z = math.sin(self.tilt) * y
-        return envelope * np.array([x, math.cos(self.tilt) * y, z])
+        return np.array([envelope * x, envelope * (math.cos(self.tilt) * y), envelope * z])
 
 
 class Figure8Trajectory(Trajectory):
@@ -163,11 +171,11 @@ class Figure8Trajectory(Trajectory):
     def offset(self, t: float) -> np.ndarray:
         envelope = min(1.0, t / (0.2 * self.period))
         phase = 2.0 * math.pi * t / self.period
-        return envelope * np.array(
+        return np.array(
             [
-                self.width * math.sin(phase),
-                self.height * math.sin(2.0 * phase),
-                0.3 * self.height * math.cos(phase) - 0.3 * self.height,
+                envelope * (self.width * math.sin(phase)),
+                envelope * (self.height * math.sin(2.0 * phase)),
+                envelope * (0.3 * self.height * math.cos(phase) - 0.3 * self.height),
             ]
         )
 
@@ -200,15 +208,16 @@ class SuturingTrajectory(Trajectory):
     def offset(self, t: float) -> np.ndarray:
         envelope = min(1.0, t / (0.5 * self.loop_period))
         phase = 2.0 * math.pi * t / self.loop_period
-        loop = np.array(
+        # envelope * loop + (0, advance_speed * t, 0), per axis; the zero
+        # terms are kept because adding 0.0 turns -0.0 into 0.0.
+        return np.array(
             [
-                self.loop_radius * math.cos(phase) - self.loop_radius,
-                0.4 * self.loop_radius * math.sin(phase),
-                self.depth_amplitude * 0.5 * (1 - math.cos(phase)),
+                envelope * (self.loop_radius * math.cos(phase) - self.loop_radius) + 0.0,
+                envelope * (0.4 * self.loop_radius * math.sin(phase))
+                + self.advance_speed * t,
+                envelope * (self.depth_amplitude * 0.5 * (1 - math.cos(phase))) + 0.0,
             ]
         )
-        advance = np.array([0.0, self.advance_speed * t, 0.0])
-        return envelope * loop + advance
 
 
 class TrajectoryLibrary:

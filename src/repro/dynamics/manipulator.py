@@ -63,6 +63,11 @@ tests in ``tests/test_batch_properties.py`` and every golden trace, while
 a Python sum for the speed norm or the rotor-damping product was
 absorbed downstream and changed no test.  The rules hold for all of
 them, since nothing guarantees that absorption.
+
+The rest of the 1 ms control cycle (controller, wire codecs, plant glue)
+runs on floats under the same rules plus its own for rounding, clipping,
+random streams and overridable seams: see "The control cycle" in
+``docs/architecture.md``.
 """
 
 from __future__ import annotations

@@ -17,12 +17,12 @@ no motion — which is why the paper's attacker must wait for "Pedal Down".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro import constants
-from repro.dynamics.integrators import get_integrator
+from repro.dynamics.integrators import Derivative, get_integrator
 from repro.dynamics.manipulator import ManipulatorDynamics
 from repro.dynamics.motor import MAXON_RE30, MAXON_RE40, MotorParameters
 from repro.dynamics.transmission import Transmission
@@ -30,6 +30,9 @@ from repro.errors import DynamicsError
 
 #: Default motor fit-out: RE40 on shoulder and elbow, RE30 on insertion.
 DEFAULT_MOTORS = (MAXON_RE40, MAXON_RE40, MAXON_RE30)
+
+#: The unpowered command a coasting (brakes closing) arm executes.
+_NO_DAC = (0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -120,6 +123,14 @@ class RavenPlant:
         self._kt = np.array([m.torque_constant for m in self.motors])
         self._tau_i = np.array([m.current_loop_tau for m in self.motors])
         self._i_max = np.array([m.max_current for m in self.motors])
+        self._kt_floats = self._kt.tolist()
+        self._i_max_floats = self._i_max.tolist()
+        #: ``G.T`` for the motor-to-joint torque map (the same strided view
+        #: ``Transmission.joint_torques`` multiplies by).
+        self._g_t = self.transmission.joint_to_motor.T
+        #: ``exp(-dt / tau_i)`` for the last control period ``dt`` stepped.
+        self._decay_dt: Optional[float] = None
+        self._decay: List[float] = []
 
         if initial_jpos is None:
             initial_jpos = np.array([0.0, 0.0, constants.JOINT3_NEUTRAL_M])
@@ -127,6 +138,8 @@ class RavenPlant:
         self._y = np.concatenate(
             [np.asarray(initial_jpos, dtype=float), np.zeros(3), np.zeros(3)]
         )
+        #: ``G @ jpos``, computed once per joint position (see :attr:`mpos`).
+        self._mpos: Optional[np.ndarray] = None
         self.brakes_engaged = True
         #: Seconds for the fail-safe power-off brakes to fully clamp after
         #: an engage request (see :data:`repro.constants.BRAKE_ENGAGE_DELAY_S`).
@@ -152,8 +165,15 @@ class RavenPlant:
 
     @property
     def mpos(self) -> np.ndarray:
-        """Motor shaft positions (rad)."""
-        return self.transmission.motor_positions(self._y[0:3])
+        """Motor shaft positions (rad).
+
+        Computed once per joint position and shared: the step's snapshot,
+        the encoder read of the next cycle and the guard's measurement all
+        read this one array, so callers must not modify it in place.
+        """
+        if self._mpos is None:
+            self._mpos = self.transmission.motor_positions(self._y[0:3])
+        return self._mpos
 
     @property
     def mvel(self) -> np.ndarray:
@@ -182,6 +202,7 @@ class RavenPlant:
         self._y[0:3] = np.asarray(jpos, dtype=float)
         self._y[3:6] = 0.0 if jvel is None else np.asarray(jvel, dtype=float)
         self._y[6:9] = 0.0
+        self._mpos = None
 
     def engage_brakes(self) -> None:
         """Start engaging the fail-safe power-off brakes.
@@ -215,7 +236,9 @@ class RavenPlant:
 
     # -- simulation -----------------------------------------------------------
 
-    def _derivative(self, setpoints: np.ndarray, i0: np.ndarray, t0: float):
+    def _derivative(
+        self, setpoints: List[float], i0: List[float], t0: float
+    ) -> Derivative:
         """ODE right-hand side for the mechanical state ``[q, qdot]``.
 
         The closed current loops are linear first-order systems driven by a
@@ -224,27 +247,34 @@ class RavenPlant:
         analytically inside the derivative.  This removes the only stiff
         mode from the ODE and lets both the plant and the 1 ms Euler
         detector model integrate the mechanics alone.
+
+        The joint torques depend on ``t`` alone, and RK4 evaluates the
+        derivative twice at most substep times, so they are computed once
+        per distinct ``t`` (5 times for the 8 evaluations of two RK4
+        substeps; the same inputs give the same bits).
         """
-        transmission = self.transmission
         dynamics = self.dynamics
         refl_m = self._reflected_inertia
         refl_b = self._reflected_damping
         tau_i = self._tau_i
-        per_motor = list(zip(self._kt.tolist(), setpoints.tolist(), i0.tolist()))
+        g_t = self._g_t
+        per_motor = list(zip(self._kt_floats, setpoints, i0))
+        joint_torques: Dict[float, np.ndarray] = {}
 
         def f(t: float, y: np.ndarray) -> np.ndarray:
-            decay = np.exp(-(t - t0) / tau_i).tolist()
-            # Motor torque kt * (sp + (i0 - sp) * decay), on floats.
-            torques = [kt * (sp + (i - sp) * e) for (kt, sp, i), e in zip(per_motor, decay)]
-            tau_joint = transmission.joint_torques(np.array(torques))
+            tau_joint = joint_torques.get(t)
+            if tau_joint is None:
+                decay = np.exp(-(t - t0) / tau_i).tolist()
+                # Motor torque kt * (sp + (i0 - sp) * decay), on floats.
+                torques = [
+                    kt * (sp + (i - sp) * e) for (kt, sp, i), e in zip(per_motor, decay)
+                ]
+                tau_joint = joint_torques[t] = g_t @ np.array(torques)
+            qdot = y[3:6]
             qddot = dynamics.acceleration(
-                y[0:3],
-                y[3:6],
-                tau_joint,
-                extra_inertia=refl_m,
-                extra_damping=refl_b,
+                y[0:3], qdot, tau_joint, extra_inertia=refl_m, extra_damping=refl_b
             )
-            return np.concatenate([y[3:6], qddot])
+            return np.concatenate((qdot, qddot))
 
         return f
 
@@ -263,11 +293,16 @@ class RavenPlant:
             self._time += dt
             return self.snapshot()
         if self._brake_countdown is not None:
-            dac_values = np.zeros(3)
+            dac_values = _NO_DAC
             self._brake_countdown -= dt
-        setpoints = dac_to_current(dac_values)
-        setpoints = np.minimum(np.maximum(setpoints, -self._i_max), self._i_max)
-        i0 = self._y[6:9].copy()
+        # clip(dac_to_current(dac), -i_max, i_max) on floats; the limits
+        # are positive, so min/max agree with numpy on every input.
+        full_scale, full_current = constants.DAC_FULL_SCALE, constants.DAC_FULL_SCALE_CURRENT_A
+        setpoints = [
+            min(max(float(dac) / full_scale * full_current, -i_max), i_max)
+            for dac, i_max in zip(dac_values, self._i_max_floats)
+        ]
+        i0 = self._y[6:9].tolist()
         t0 = self._time
         f = self._derivative(setpoints, i0, t0)
         h = dt / self.substeps
@@ -277,7 +312,10 @@ class RavenPlant:
             y = self._stepper(f, t, y, h)
             t += h
         self._y[0:6] = y
-        self._y[6:9] = setpoints + (i0 - setpoints) * np.exp(-dt / self._tau_i)
+        self._mpos = None
+        if dt != self._decay_dt:
+            self._decay_dt, self._decay = dt, np.exp(-dt / self._tau_i).tolist()
+        self._y[6:9] = [sp + (i - sp) * e for sp, i, e in zip(setpoints, i0, self._decay)]
         self._time = t0 + dt
         if self._brake_countdown is not None and self._brake_countdown <= 0.0:
             self._lock_brakes()

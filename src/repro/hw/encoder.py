@@ -21,6 +21,23 @@ from repro import constants
 
 _TWO_PI = 2.0 * np.pi
 
+#: What ``np.rint(x).astype(np.int64)`` gives for NaN, infinities and values
+#: outside int64 on x86-64.
+_INT64_MIN = -(1 << 63)
+_INT64_LIMIT = float(1 << 63)
+
+
+def rint_int64(value: float) -> int:
+    """``np.rint(value).astype(np.int64)`` for one float, as a Python int.
+
+    Ties round to even, as in numpy.  A value that is not a finite float
+    inside the int64 range becomes the int64 minimum, as numpy's cast does
+    on x86-64.  That includes NaN, where ``round()`` itself would raise.
+    """
+    if -_INT64_LIMIT <= value < _INT64_LIMIT:
+        return round(value)
+    return _INT64_MIN
+
 
 class EncoderBank:
     """Converts motor shaft positions (rad) to counts and back."""
@@ -56,12 +73,13 @@ class EncoderBank:
         self.count_fault: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def to_counts(self, mpos: Sequence[float]) -> np.ndarray:
-        """Quantize motor shaft angles (rad) to integer counts."""
-        mpos = np.asarray(mpos, dtype=float)
-        counts = mpos / _TWO_PI * self.counts_per_rev
+        """Quantize a vector of motor shaft angles (rad) to integer counts."""
+        cpr = self.counts_per_rev
+        counts = [m / _TWO_PI * cpr for m in np.asarray(mpos, dtype=float).tolist()]
         if self.noise_counts > 0:
-            counts = counts + self._rng.normal(0.0, self.noise_counts, counts.shape)
-        quantized = np.rint(counts).astype(np.int64)
+            noise = self._rng.normal(0.0, self.noise_counts, (len(counts),))
+            counts = [c + n for c, n in zip(counts, noise.tolist())]
+        quantized = np.array([rint_int64(c) for c in counts], dtype=np.int64)
         if self.count_fault is not None:
             quantized = np.asarray(
                 self.count_fault(quantized), dtype=np.int64
@@ -70,8 +88,8 @@ class EncoderBank:
 
     def to_radians(self, counts: Sequence[int]) -> np.ndarray:
         """Convert integer counts back to motor shaft angles (rad)."""
-        counts = np.asarray(counts, dtype=float)
-        return counts * _TWO_PI / self.counts_per_rev
+        cpr = self.counts_per_rev
+        return np.array([float(c) * _TWO_PI / cpr for c in counts])
 
     @property
     def resolution_rad(self) -> float:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.control.state_machine import RobotState
 from repro.dynamics.plant import RavenPlant
 from repro.hw.motor_controller import MotorController
+from repro.robot_state import RobotState
 
 
 class Plc:

@@ -106,11 +106,10 @@ class UsbBoard:
 
     def fd_read(self, max_bytes: int) -> bytes:
         """Return a feedback packet with current encoder counts."""
-        counts = self.encoders.to_counts(self.motor_controller.plant.mpos)
         packet = encode_feedback_packet(
             state=self.plc.observed_state,
             watchdog=bool(self._last_packet.watchdog) if self._last_packet else False,
-            encoder_counts=list(counts) + [0] * (8 - len(counts)),
+            encoder_counts=self.encoder_counts(),
         )
         return packet[:max_bytes]
 
@@ -123,4 +122,4 @@ class UsbBoard:
 
     def encoder_counts(self) -> List[int]:
         """Current encoder counts (test/diagnostic convenience)."""
-        return list(self.encoders.to_counts(self.motor_controller.plant.mpos))
+        return self.encoders.to_counts(self.motor_controller.plant.mpos).tolist()

@@ -20,12 +20,13 @@ the detector) may check it, while the board deliberately ignores it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro import constants
-from repro.control.state_machine import RobotState
 from repro.errors import PacketError
+from repro.robot_state import RobotState
 
 #: Size of a command packet (bytes).
 COMMAND_PACKET_SIZE = constants.USB_PACKET_SIZE
@@ -33,8 +34,15 @@ COMMAND_PACKET_SIZE = constants.USB_PACKET_SIZE
 #: Size of a feedback packet (bytes).
 FEEDBACK_PACKET_SIZE = 26
 
-_INT16_MIN, _INT16_MAX = -(1 << 15), (1 << 15) - 1
-_INT24_MIN, _INT24_MAX = -(1 << 23), (1 << 23) - 1
+#: Command bytes 0-16: state byte, eight big-endian int16 DACs.
+_COMMAND = struct.Struct(">B8h")
+
+#: Feedback bytes 0-24: state byte, then each 24-bit count as its signed
+#: high byte and unsigned low 16 bits (``count = high * 65536 + low``).
+_FEEDBACK = struct.Struct(">B" + "bH" * constants.USB_NUM_CHANNELS)
+
+#: Fill for missing channels (two feedback fields per channel).
+_ZEROS = (0,) * (2 * constants.USB_NUM_CHANNELS)
 
 
 def _checksum(data: bytes) -> int:
@@ -46,6 +54,19 @@ def _state_byte(state: RobotState, watchdog: bool) -> int:
     if watchdog:
         value |= 1 << constants.USB_WATCHDOG_BIT
     return value
+
+
+def _fit(values: Sequence[int], bits: int, what: str) -> List[int]:
+    """``int()`` of each value, in channel order; :class:`PacketError` on
+    the first that does not fit a signed ``bits``-bit field."""
+    low, high = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    out = []
+    for value in values:
+        value = int(value)
+        if not (low <= value <= high):
+            raise PacketError(f"{what} {value} out of int{bits} range")
+        out.append(value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,18 +105,12 @@ def encode_command_packet(
     """
     if len(dac_values) > constants.USB_NUM_CHANNELS:
         raise PacketError(f"at most {constants.USB_NUM_CHANNELS} DAC channels")
-    payload = bytearray(COMMAND_PACKET_SIZE)
-    payload[constants.USB_STATE_BYTE] = _state_byte(state, watchdog)
-    for channel, value in enumerate(dac_values):
-        value = int(value)
-        if not (_INT16_MIN <= value <= _INT16_MAX):
-            raise PacketError(f"DAC value {value} out of int16 range")
-        offset = constants.USB_DAC_OFFSET + 2 * channel
-        payload[offset : offset + 2] = value.to_bytes(2, "big", signed=True)
-    payload[constants.USB_CHECKSUM_OFFSET] = _checksum(
-        bytes(payload[: constants.USB_CHECKSUM_OFFSET])
+    state_byte = _state_byte(state, watchdog)
+    dacs = _fit(dac_values, 16, "DAC value")
+    body = _COMMAND.pack(
+        state_byte, *dacs, *_ZEROS[: constants.USB_NUM_CHANNELS - len(dacs)]
     )
-    return bytes(payload)
+    return body + bytes((_checksum(body),))
 
 
 def decode_command_packet(data: bytes) -> CommandPacket:
@@ -104,20 +119,14 @@ def decode_command_packet(data: bytes) -> CommandPacket:
         raise PacketError(
             f"command packet must be {COMMAND_PACKET_SIZE} bytes, got {len(data)}"
         )
-    raw_state = data[constants.USB_STATE_BYTE]
-    state = RobotState.from_byte(raw_state)
-    watchdog = bool(raw_state & (1 << constants.USB_WATCHDOG_BIT))
-    dac_values = []
-    for channel in range(constants.USB_NUM_CHANNELS):
-        offset = constants.USB_DAC_OFFSET + 2 * channel
-        dac_values.append(int.from_bytes(data[offset : offset + 2], "big", signed=True))
+    raw_state, *dac_values = _COMMAND.unpack_from(data)
     checksum_ok = data[constants.USB_CHECKSUM_OFFSET] == _checksum(
         data[: constants.USB_CHECKSUM_OFFSET]
     )
     return CommandPacket(
         raw_state_byte=raw_state,
-        state=state,
-        watchdog=watchdog,
+        state=RobotState.from_byte(raw_state),
+        watchdog=bool(raw_state & (1 << constants.USB_WATCHDOG_BIT)),
         dac_values=dac_values,
         checksum_ok=checksum_ok,
     )
@@ -129,18 +138,11 @@ def encode_feedback_packet(
     """Encode a feedback packet with up to 8 encoder channels."""
     if len(encoder_counts) > constants.USB_NUM_CHANNELS:
         raise PacketError(f"at most {constants.USB_NUM_CHANNELS} encoder channels")
-    payload = bytearray(FEEDBACK_PACKET_SIZE)
-    payload[0] = _state_byte(state, watchdog)
-    for channel, value in enumerate(encoder_counts):
-        value = int(value)
-        if not (_INT24_MIN <= value <= _INT24_MAX):
-            raise PacketError(f"encoder count {value} out of int24 range")
-        offset = 1 + 3 * channel
-        payload[offset : offset + 3] = value.to_bytes(3, "big", signed=True)
-    payload[FEEDBACK_PACKET_SIZE - 1] = _checksum(
-        bytes(payload[: FEEDBACK_PACKET_SIZE - 1])
-    )
-    return bytes(payload)
+    fields = [_state_byte(state, watchdog)]
+    for count in _fit(encoder_counts, 24, "encoder count"):
+        fields += (count >> 16, count & 0xFFFF)
+    body = _FEEDBACK.pack(*fields, *_ZEROS[len(fields) - 1 :])
+    return body + bytes((_checksum(body),))
 
 
 def decode_feedback_packet(data: bytes) -> FeedbackPacket:
@@ -149,20 +151,15 @@ def decode_feedback_packet(data: bytes) -> FeedbackPacket:
         raise PacketError(
             f"feedback packet must be {FEEDBACK_PACKET_SIZE} bytes, got {len(data)}"
         )
-    raw_state = data[0]
-    state = RobotState.from_byte(raw_state)
-    watchdog = bool(raw_state & (1 << constants.USB_WATCHDOG_BIT))
-    counts = []
-    for channel in range(constants.USB_NUM_CHANNELS):
-        offset = 1 + 3 * channel
-        counts.append(int.from_bytes(data[offset : offset + 3], "big", signed=True))
+    fields = _FEEDBACK.unpack_from(data)
+    raw_state = fields[0]
     checksum_ok = data[FEEDBACK_PACKET_SIZE - 1] == _checksum(
         data[: FEEDBACK_PACKET_SIZE - 1]
     )
     return FeedbackPacket(
         raw_state_byte=raw_state,
-        state=state,
-        watchdog=watchdog,
-        encoder_counts=counts,
+        state=RobotState.from_byte(raw_state),
+        watchdog=bool(raw_state & (1 << constants.USB_WATCHDOG_BIT)),
+        encoder_counts=[fields[i] * 65536 + fields[i + 1] for i in range(1, 17, 2)],
         checksum_ok=checksum_ok,
     )

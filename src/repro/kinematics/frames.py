@@ -39,16 +39,25 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
         If ``q`` is (numerically) the zero quaternion.
     """
     q = np.asarray(q, dtype=float)
-    norm = np.linalg.norm(q)
+    norm = math.sqrt(q.dot(q))  # np.linalg.norm, bit for bit
     if norm < 1e-12:
         raise ValueError("cannot normalize a zero quaternion")
     return q / norm
 
 
+def _components(q: np.ndarray):
+    """The components of ``q``; a float64 array as Python floats, which
+    are far cheaper to unpack than numpy scalars and do the same
+    arithmetic bit for bit."""
+    if isinstance(q, np.ndarray) and q.dtype == np.float64:
+        return q.tolist()
+    return q
+
+
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton product ``q1 * q2`` (both scalar-first)."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
+    w1, x1, y1, z1 = _components(q1)
+    w2, x2, y2, z2 = _components(q2)
     return np.array(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,

@@ -75,6 +75,8 @@ class SphericalArm:
         self._cos_a1 = math.cos(self.geometry.alpha1)
         self._sin_a2 = math.sin(self.geometry.alpha2)
         self._cos_a2 = math.cos(self.geometry.alpha2)
+        #: The constant first factor of the ``_solve_q2`` rotation chain.
+        self._rot_x_neg_a1 = rot_x(-self.geometry.alpha1)
 
     # -- forward ------------------------------------------------------------
 
@@ -145,9 +147,8 @@ class SphericalArm:
             If the position is outside the reachable cone of the mechanism
             or coincides with the RCM.
         """
-        g = self.geometry
-        rel = np.asarray(position, dtype=float) - g.rcm_position
-        d = float(np.linalg.norm(rel))
+        rel = np.asarray(position, dtype=float) - self.geometry.rcm_position
+        d = math.sqrt(rel.dot(rel))  # np.linalg.norm, bit for bit
         if d < 1e-9:
             raise InverseKinematicsError(
                 "target position coincides with the remote centre of motion"
@@ -158,10 +159,10 @@ class SphericalArm:
         # whose z-component is the constant cos(alpha2):
         #   -sin(alpha1) * (-sin(q1) ux + cos(q1) uy) + cos(alpha1) uz
         #       = cos(alpha2)
-        ux, uy, uz = u
-        a = math.sin(g.alpha1) * ux
-        b = -math.sin(g.alpha1) * uy
-        c = math.cos(g.alpha2) - math.cos(g.alpha1) * uz
+        ux, uy, uz = u.tolist()
+        a = self._sin_a1 * ux
+        b = -self._sin_a1 * uy
+        c = self._cos_a2 - self._cos_a1 * uz
         r = math.hypot(a, b)
         if r < 1e-12 or abs(c) > r + 1e-12:
             raise InverseKinematicsError(
@@ -170,28 +171,26 @@ class SphericalArm:
         # a sin(q1) + b cos(q1) = r cos(q1 - phi) with phi = atan2(a, b).
         phi = math.atan2(a, b)
         delta = math.acos(max(-1.0, min(1.0, c / r)))
-        candidates = []
-        for q1 in (phi + delta, phi - delta):
-            q1 = _wrap_angle(q1)
-            q2 = self._solve_q2(u, q1)
-            candidates.append(np.array([q1, q2, d]))
+        q1a = _wrap_angle(phi + delta)
+        q1b = _wrap_angle(phi - delta)
+        q2a = self._solve_q2(u, q1a)
+        q2b = self._solve_q2(u, q1b)
 
+        # The first branch wins ties (a stable sort of the two).
         if reference is None:
-            candidates.sort(key=lambda s: abs(s[0]))
-            return candidates[0]
-        ref = np.asarray(reference, dtype=float)
-        candidates.sort(
-            key=lambda s: abs(_wrap_angle(s[0] - ref[0]))
-            + abs(_wrap_angle(s[1] - ref[1]))
-        )
-        return candidates[0]
+            second = abs(q1b) < abs(q1a)
+        else:
+            r1, r2 = np.asarray(reference, dtype=float).tolist()[:2]
+            second = abs(_wrap_angle(q1b - r1)) + abs(_wrap_angle(q2b - r2)) < abs(
+                _wrap_angle(q1a - r1)
+            ) + abs(_wrap_angle(q2a - r2))
+        return np.array([q1b, q2b, d] if second else [q1a, q2a, d])
 
     def _solve_q2(self, u: np.ndarray, q1: float) -> float:
         """Joint 2 from the tool axis once joint 1 is known."""
-        g = self.geometry
-        v = rot_x(-g.alpha1) @ rot_z(-q1) @ u
+        v0, v1, _ = (self._rot_x_neg_a1 @ rot_z(-q1) @ u).tolist()
         # v = Rz(q2) Rx(alpha2) z_hat = (sin a2 sin q2, -sin a2 cos q2, cos a2)
-        return math.atan2(v[0], -v[1])
+        return math.atan2(v0, -v1)
 
     # -- misc ---------------------------------------------------------------
 

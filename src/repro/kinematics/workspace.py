@@ -33,23 +33,23 @@ class Workspace:
     joint3_limits: Tuple[float, float] = constants.JOINT3_LIMITS_M
 
     def __post_init__(self) -> None:
-        for lo, hi in (self.joint1_limits, self.joint2_limits, self.joint3_limits):
+        limits = (self.joint1_limits, self.joint2_limits, self.joint3_limits)
+        for lo, hi in limits:
             if lo >= hi:
                 raise ValueError(f"invalid joint limit range ({lo}, {hi})")
+        # The per-cycle checks (contains, clamp) read the limits as floats.
+        object.__setattr__(self, "_lows", tuple(float(lo) for lo, _ in limits))
+        object.__setattr__(self, "_highs", tuple(float(hi) for _, hi in limits))
 
     @property
     def lower(self) -> np.ndarray:
         """Lower joint-limit vector."""
-        return np.array(
-            [self.joint1_limits[0], self.joint2_limits[0], self.joint3_limits[0]]
-        )
+        return np.array(self._lows)
 
     @property
     def upper(self) -> np.ndarray:
         """Upper joint-limit vector."""
-        return np.array(
-            [self.joint1_limits[1], self.joint2_limits[1], self.joint3_limits[1]]
-        )
+        return np.array(self._highs)
 
     def contains(self, q: Sequence[float], margin: float = 0.0) -> bool:
         """Whether joint vector ``q`` lies within the limits.
@@ -58,14 +58,28 @@ class Workspace:
         checks on *desired* positions, matching the RAVEN software which
         rejects targets near the boundary).
         """
-        q = np.asarray(q, dtype=float)
-        return bool(
-            np.all(q >= self.lower + margin) and np.all(q <= self.upper - margin)
+        q0, q1, q2 = np.asarray(q, dtype=float).tolist()
+        (l0, l1, l2), (h0, h1, h2) = self._lows, self._highs
+        return (
+            q0 >= l0 + margin
+            and q1 >= l1 + margin
+            and q2 >= l2 + margin
+            and q0 <= h0 - margin
+            and q1 <= h1 - margin
+            and q2 <= h2 - margin
         )
 
     def clamp(self, q: Sequence[float]) -> np.ndarray:
         """Project joint vector ``q`` onto the limit box."""
-        return np.clip(np.asarray(q, dtype=float), self.lower, self.upper)
+        # min(max(v, lo), hi) is np.clip bit for bit for non-zero bounds, NaN too.
+        return np.array(
+            [
+                min(max(v, lo), hi)
+                for v, lo, hi in zip(
+                    np.asarray(q, dtype=float).tolist(), self._lows, self._highs
+                )
+            ]
+        )
 
     def require(self, q: Sequence[float], what: str = "joint vector") -> None:
         """Raise :class:`WorkspaceError` if ``q`` violates the limits."""

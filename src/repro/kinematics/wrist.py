@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.kinematics.frames import quat_normalize, quat_to_matrix
+from repro.kinematics.frames import quat_normalize
 
 
 @dataclass
@@ -44,14 +44,19 @@ class WristKinematics:
         wrist pitch, and wrist yaw realised differentially by the two
         grasper jaws (RAVEN instruments articulate yaw via the jaws).
         """
-        m = quat_to_matrix(quat_normalize(np.asarray(ori, dtype=float)))
+        # quat_to_matrix normalizes again, so the quaternion is normalized
+        # twice (the second pass can move the last bit); only the five
+        # matrix entries the decomposition reads are formed, each with the
+        # expression quat_to_matrix uses for it.
+        w, x, y, z = quat_normalize(quat_normalize(np.asarray(ori, dtype=float))).tolist()
+        m20 = 2 * (x * z - w * y)
         # ZYX intrinsic decomposition.
-        pitch = -math.asin(max(-1.0, min(1.0, m[2, 0])))
-        if abs(m[2, 0]) < 1.0 - 1e-9:
-            roll = math.atan2(m[1, 0], m[0, 0])
-            yaw = math.atan2(m[2, 1], m[2, 2])
+        pitch = -math.asin(max(-1.0, min(1.0, m20)))
+        if abs(m20) < 1.0 - 1e-9:
+            roll = math.atan2(2 * (x * y + w * z), 1 - 2 * (y * y + z * z))
+            yaw = math.atan2(2 * (y * z + w * x), 1 - 2 * (x * x + y * y))
         else:  # gimbal lock: fold everything into roll
-            roll = math.atan2(-m[0, 1], m[1, 1])
+            roll = math.atan2(-(2 * (x * y - w * z)), 1 - 2 * (x * x + z * z))
             yaw = 0.0
         jaw1 = yaw + self.grasp_half_angle
         jaw2 = yaw - self.grasp_half_angle
@@ -64,8 +69,15 @@ class WristKinematics:
         ``x += (target - x) * (1 - exp(-dt / tau))``.
         """
         alpha = 1.0 - math.exp(-dt / self.time_constant)
-        self.joints = self.joints + alpha * (np.asarray(targets, dtype=float) - self.joints)
-        return self.joints.copy()
+        joints = [
+            j + alpha * (t - j)
+            for j, t in zip(
+                np.asarray(self.joints, dtype=float).tolist(),
+                np.asarray(targets, dtype=float).tolist(),
+            )
+        ]
+        self.joints = np.array(joints)
+        return np.array(joints)
 
     def orientation_error(self, targets: np.ndarray) -> float:
         """Max absolute wrist-joint tracking error (rad)."""

@@ -18,6 +18,7 @@ Wire format (40 bytes, big-endian):
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +33,12 @@ ITP_MODE_CARTESIAN = 1
 _NM_PER_M = 1e9
 _Q30 = float(1 << 30)
 _INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
+_IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+
+#: Bytes 0-37: sequence, pedal, mode, position and orientation increments,
+#: reserved padding.  The checksum over them follows as one uint16.
+_BODY = struct.Struct(">IBB3i4i4x")
+_CHECKSUM = struct.Struct(">H")
 
 
 @dataclass(frozen=True)
@@ -41,9 +48,7 @@ class ItpPacket:
     sequence: int
     pedal_down: bool
     dpos: np.ndarray
-    dquat: np.ndarray = field(
-        default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0])
-    )
+    dquat: np.ndarray = field(default_factory=_IDENTITY_QUAT.copy)
     mode: int = ITP_MODE_CARTESIAN
 
     def __post_init__(self) -> None:
@@ -63,21 +68,24 @@ def _checksum16(data: bytes) -> int:
 
 def encode_itp(packet: ItpPacket) -> bytes:
     """Serialize an :class:`ItpPacket` to its 40-byte wire form."""
-    out = bytearray(constants.ITP_PACKET_SIZE)
-    out[0:4] = (packet.sequence & 0xFFFFFFFF).to_bytes(4, "big")
-    out[4] = 1 if packet.pedal_down else 0
-    out[5] = packet.mode & 0xFF
-    for i, value in enumerate(packet.dpos):
+    dpos = []
+    for value in packet.dpos.tolist():
         scaled = int(round(value * _NM_PER_M))
         if not (_INT32_MIN <= scaled <= _INT32_MAX):
             raise PacketError(f"position increment {value} m out of range")
-        out[6 + 4 * i : 10 + 4 * i] = scaled.to_bytes(4, "big", signed=True)
-    for i, value in enumerate(packet.dquat):
-        scaled = int(round(value * _Q30))
-        scaled = max(_INT32_MIN, min(_INT32_MAX, scaled))
-        out[18 + 4 * i : 22 + 4 * i] = scaled.to_bytes(4, "big", signed=True)
-    out[38:40] = _checksum16(bytes(out[:38])).to_bytes(2, "big")
-    return bytes(out)
+        dpos.append(scaled)
+    dquat = [
+        max(_INT32_MIN, min(_INT32_MAX, int(round(value * _Q30))))
+        for value in packet.dquat.tolist()
+    ]
+    body = _BODY.pack(
+        packet.sequence & 0xFFFFFFFF,
+        1 if packet.pedal_down else 0,
+        packet.mode & 0xFF,
+        *dpos,
+        *dquat,
+    )
+    return body + _CHECKSUM.pack(_checksum16(body))
 
 
 def decode_itp(data: bytes, verify_checksum: bool = True) -> ItpPacket:
@@ -97,29 +105,18 @@ def decode_itp(data: bytes, verify_checksum: bool = True) -> ItpPacket:
         )
     if verify_checksum:
         expected = _checksum16(data[:38])
-        got = int.from_bytes(data[38:40], "big")
+        (got,) = _CHECKSUM.unpack_from(data, 38)
         if expected != got:
             raise ChecksumError(
                 f"ITP checksum mismatch: expected {expected:#06x}, got {got:#06x}"
             )
-    sequence = int.from_bytes(data[0:4], "big")
-    pedal_down = bool(data[4])
-    mode = data[5]
-    dpos = np.array(
-        [
-            int.from_bytes(data[6 + 4 * i : 10 + 4 * i], "big", signed=True)
-            / _NM_PER_M
-            for i in range(3)
-        ]
-    )
-    dquat = np.array(
-        [
-            int.from_bytes(data[18 + 4 * i : 22 + 4 * i], "big", signed=True) / _Q30
-            for i in range(4)
-        ]
-    )
+    sequence, pedal, mode, x, y, z, qw, qx, qy, qz = _BODY.unpack_from(data)
     return ItpPacket(
-        sequence=sequence, pedal_down=pedal_down, dpos=dpos, dquat=dquat, mode=mode
+        sequence=sequence,
+        pedal_down=bool(pedal),
+        dpos=np.array([x / _NM_PER_M, y / _NM_PER_M, z / _NM_PER_M]),
+        dquat=np.array([qw / _Q30, qx / _Q30, qy / _Q30, qz / _Q30]),
+        mode=mode,
     )
 
 
@@ -148,4 +145,7 @@ def clamp_increment(
     :data:`repro.constants.ITP_MAX_INCREMENT_M` per axis.
     """
     limit = constants.ITP_MAX_INCREMENT_M if limit is None else limit
-    return np.clip(np.asarray(dpos, dtype=float), -limit, limit)
+    # min(max(v, lo), hi) is np.clip bit for bit for non-zero bounds, NaN too.
+    return np.array(
+        [min(max(v, -limit), limit) for v in np.asarray(dpos, dtype=float).tolist()]
+    )

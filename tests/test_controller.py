@@ -5,6 +5,7 @@ import pytest
 
 from repro import constants
 from repro.control.controller import INIT_CYCLES, RavenController
+from repro.control.pid import MotorPid
 from repro.control.state_machine import RobotState
 from repro.dynamics.plant import RavenPlant
 from repro.hw.encoder import EncoderBank
@@ -50,6 +51,17 @@ def stack():
         process=process, usb_fd=usb_fd, itp_fd=itp_fd, encoders=encoders
     )
     return controller, socket, plant, plc, board
+
+
+class _ConstantPid(MotorPid):
+    """A PID whose every update returns one fixed current on all axes."""
+
+    def __init__(self, current: float):
+        super().__init__()
+        self.current = current
+
+    def update(self, setpoint, measurement, dt=constants.CONTROL_PERIOD_S):
+        return np.full(3, self.current)
 
 
 def run_cycles(controller, plc, board, n, start=0):
@@ -153,6 +165,31 @@ class TestTeleoperation:
         tripped = [o for o in outs if not o.safety.safe]
         assert tripped
         assert controller.state_machine.state is RobotState.E_STOP
+        assert controller.watchdog.tripped
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.parametrize("current", [np.nan, np.inf, -np.inf, 1e300])
+    def test_non_finite_pid_output_trips_safety(self, stack, current):
+        # A current command that is NaN, infinite or beyond int64 in DAC
+        # counts casts to the int64 minimum, which the DAC check rejects:
+        # the command goes out zeroed and the controller drops to E-STOP.
+        # It must never surface as a ValueError or OverflowError.
+        controller, _sock, _plant, plc, board = stack
+        k0 = self._engage(stack)
+        controller.pid = _ConstantPid(current)
+        out = run_cycles(controller, plc, board, 1, start=k0)[0]
+        reasons = [
+            f"DAC channel {i} value {-(2**63)} exceeds limit {constants.DAC_SAFETY_LIMIT}"
+            for i in range(3)
+        ]
+        assert not out.safety.safe
+        assert out.safety.reasons == reasons
+        assert out.notes == reasons
+        assert out.dac.dtype == np.int64
+        assert out.dac.tolist() == [0, 0, 0]
+        assert board.last_packet.dac_values == [0] * constants.USB_NUM_CHANNELS
+        assert out.state is RobotState.E_STOP
+        assert controller.state_machine.last_estop_reason == "; ".join(reasons)
         assert controller.watchdog.tripped
 
     def test_watchdog_toggles_in_packets(self, stack):
