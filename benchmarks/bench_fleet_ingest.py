@@ -29,6 +29,8 @@ the decision bytes.
 from __future__ import annotations
 
 import asyncio
+import os
+import platform
 import time
 
 import numpy as np
@@ -188,6 +190,8 @@ def test_fleet_ingest_artifact(
     svc_rows, svc_verified = service_table
 
     lines = [
+        f"host: {os.cpu_count()} cores, Python {platform.python_version()}",
+        "",
         f"fleet ingest throughput ({FRAMES_PER_SESSION} frames/session, "
         "in-memory store, checkpoint every 64 ticks):",
         "",

@@ -39,7 +39,7 @@ def hex_vector(values: Optional[np.ndarray]) -> Optional[List[str]]:
     """
     if values is None:
         return None
-    return [float(v).hex() for v in np.asarray(values, dtype=float)]
+    return [v.hex() for v in np.asarray(values, dtype=float).tolist()]
 
 
 def unhex_vector(values: Optional[Sequence[str]]) -> Optional[np.ndarray]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -65,6 +66,16 @@ class GuardHealth(enum.Enum):
     STALE = "stale"
     #: The supervisor escalated to a PLC E-STOP.
     ESTOPPED = "estopped"
+
+    # Members are singletons compared by identity, so an identity hash is
+    # consistent with equality; ``Enum``'s own hashes the member name in
+    # Python, which dominated a lookup in :data:`HEALTH_VALUE`.
+    __hash__ = object.__hash__
+
+
+#: ``health.value`` of every :class:`GuardHealth`, as a table: the per-row
+#: spelling for transition logs and per-frame health labels.
+HEALTH_VALUE: Dict[GuardHealth, str] = {health: health.value for health in GuardHealth}
 
 
 @dataclass
@@ -166,7 +177,8 @@ class GuardStats:
             "stale_escalations": self.stale_escalations,
             "health": self.health.value,
             "health_transitions": [
-                [cycle, health.value] for cycle, health in self.health_transitions
+                [cycle, HEALTH_VALUE[health]]
+                for cycle, health in self.health_transitions
             ],
             "alert_events": [
                 {
@@ -610,12 +622,23 @@ class GuardSupervisor:
     # -- degraded-mode machinery -------------------------------------------------
 
     def _plausible(self, mpos: np.ndarray) -> bool:
-        if not np.isfinite(mpos).all():
+        """Finite, and within ``implausible_jump_rad`` of the last trusted
+        measurement on every axis.
+
+        ``np.max(np.abs(mpos - last)) <= limit`` on Python floats: the
+        same subtraction per axis, and a NaN jump fails the test, as the
+        NaN that ``np.max`` propagates does.
+        """
+        values = mpos.tolist()
+        if not all(map(isfinite, values)):
             return False
         if self._last_mpos is None:
             return True
-        jump = float(np.max(np.abs(mpos - self._last_mpos)))
-        return jump <= self.config.implausible_jump_rad
+        limit = self.config.implausible_jump_rad
+        for value, last in zip(values, self._last_mpos.tolist()):
+            if not abs(value - last) <= limit:
+                return False
+        return True
 
     def _escalate_stale(self, reason: str) -> None:
         self.stats.record_health(self._cycle, GuardHealth.STALE)

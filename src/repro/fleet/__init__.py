@@ -24,7 +24,6 @@ Configuration comes from ``REPRO_FLEET_*`` environment variables via
 
 from repro.fleet.config import FleetConfig
 from repro.fleet.session import (
-    DecisionRecord,
     FleetSession,
     SessionBoard,
     SessionPlc,
@@ -43,7 +42,6 @@ from repro.fleet.store import (
 from repro.fleet.supervisor import FleetSupervisor, TickReport
 
 __all__ = [
-    "DecisionRecord",
     "FleetConfig",
     "FleetSession",
     "FleetSupervisor",

@@ -19,11 +19,13 @@ restored session prove bit-identical continuation.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from hashlib import sha256
 from json import dumps
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,10 +34,15 @@ from repro.core.detector import AnomalyDetector, FusionRule
 from repro.core.dynamic_model import RavenDynamicModel
 from repro.core.estimator import NextStateEstimator
 from repro.core.mitigation import MitigationStrategy
-from repro.core.pipeline import DetectorGuard, GuardSupervisor, SupervisorConfig
+from repro.core.pipeline import (
+    HEALTH_VALUE,
+    DetectorGuard,
+    GuardSupervisor,
+    SupervisorConfig,
+)
 from repro.core.thresholds import SafetyThresholds
 from repro.fleet.config import FleetConfig
-from repro.hw.usb_packet import CommandPacket, decode_command_packet, encode_command_packet
+from repro.hw.usb_packet import CommandPacket, command_packet
 
 #: Schema version of fleet session checkpoints.  v2 added
 #: ``frames_ingested``; v1 payloads still restore (the counter is
@@ -65,9 +72,7 @@ class TelemetryFrame:
     def to_packet(self) -> CommandPacket:
         """The equivalent on-wire command packet (canonical encoding)."""
         state = RobotState.PEDAL_DOWN if self.pedal_down else RobotState.PEDAL_UP
-        return decode_command_packet(
-            encode_command_packet(state, True, list(self.dac))
-        )
+        return command_packet(state, True, self.dac)
 
     def mpos_array(self) -> Optional[np.ndarray]:
         if self.mpos is None:
@@ -101,11 +106,24 @@ class SessionBoard:
     the ``plc`` (E-STOP escalation) and the ``guard`` attachment slot.
     Measurements never come from this board — they arrive in telemetry
     frames through :meth:`repro.core.GuardSupervisor.process`.
+
+    The board holds its guard weakly.  The session owns the guard, and
+    the guard holds the board, so a strong slot would make a cycle: a
+    dropped session's guard state, transition log included, would then
+    outlive it until the cyclic collector ran.
     """
 
     def __init__(self) -> None:
         self.plc = SessionPlc()
-        self.guard = None
+        self._guard: Optional[Callable[[], Any]] = None
+
+    @property
+    def guard(self) -> Any:
+        return None if self._guard is None else self._guard()
+
+    @guard.setter
+    def guard(self, guard: Any) -> None:
+        self._guard = None if guard is None else weakref.ref(guard)
 
 
 @dataclass(frozen=True)
@@ -159,44 +177,63 @@ def _chain_digest(prev_hex: str, record: Dict[str, Any]) -> str:
     return sha256((prev_hex + encoded).encode("utf-8")).hexdigest()
 
 
-@dataclass
-class DecisionRecord:
-    """One guard decision, as it enters the session's hash chain."""
+#: The fields of a decision record, in the order the record lists them.
+DECISION_FIELDS = (
+    "tick",
+    "dac",
+    "pedal_down",
+    "had_mpos",
+    "allowed",
+    "evaluated",
+    "alert",
+    "health",
+)
 
-    tick: int
-    dac: Tuple[int, ...]
-    pedal_down: bool
-    had_mpos: bool
-    allowed: bool
-    evaluated: bool
-    alert: bool
-    health: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tick": self.tick,
-            "dac": list(self.dac),
-            "pedal_down": self.pedal_down,
-            "had_mpos": self.had_mpos,
-            "allowed": self.allowed,
-            "evaluated": self.evaluated,
-            "alert": self.alert,
-            "health": self.health,
-        }
+#: A decision record's values, in :data:`DECISION_FIELDS` order.
+DecisionValues = Tuple[Any, ...]
 
 
-@dataclass
-class _PendingDecision:
-    """A frame whose verdict arrives from the batched finalize pass.
+def decision_record(values: DecisionValues) -> Dict[str, Any]:
+    """The record a decision's values stand for (``dac`` as a list)."""
+    record = dict(zip(DECISION_FIELDS, values))
+    record["dac"] = list(record["dac"])
+    return record
 
-    ``health`` is the session's health the moment the frame was processed
-    — recorded here because by dispatch time a later frame in the same
-    drain burst may already have moved the health machine on.
+
+#: JSON text of the scalar types the chain formatter writes itself, keyed
+#: by exact type: ``json.dumps``'s own spellings (``ensure_ascii``).
+_JSON_SCALAR = {
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+}
+
+
+def _chain_link(prev_hex: str, values: DecisionValues) -> str:
+    """:func:`_chain_digest` of :func:`decision_record` ``(values)``,
+    formatted directly.
+
+    The record's keys are fixed, so their sorted order is too; each value
+    (and each ``dac`` entry) of exact type ``bool``, ``int`` or ``str`` is
+    written as ``json.dumps`` writes it.  Any other value falls back to
+    :func:`_chain_digest`, which formats — or rejects — it as before.
     """
-
-    tick: int
-    frame: TelemetryFrame
-    health: str
+    tick, dac, pedal_down, had_mpos, allowed, evaluated, alert, health = values
+    j = _JSON_SCALAR
+    try:
+        encoded = (
+            f'{{"alert":{j[type(alert)](alert)},'
+            f'"allowed":{j[type(allowed)](allowed)},'
+            f'"dac":[{",".join([j[type(v)](v) for v in dac])}],'
+            f'"evaluated":{j[type(evaluated)](evaluated)},'
+            f'"had_mpos":{j[type(had_mpos)](had_mpos)},'
+            f'"health":{j[type(health)](health)},'
+            f'"pedal_down":{j[type(pedal_down)](pedal_down)},'
+            f'"tick":{j[type(tick)](tick)}}}'
+        )
+    except KeyError:
+        return _chain_digest(prev_hex, decision_record(values))
+    return sha256((prev_hex + encoded).encode("utf-8")).hexdigest()
 
 
 class FleetSession:
@@ -209,8 +246,13 @@ class FleetSession:
         self.board = SessionBoard()
         self.supervisor.attach(self.board)
         self.queue: Deque[TelemetryFrame] = deque()
-        self.pending: List[_PendingDecision] = []
-        self.recent: Deque[Dict[str, Any]] = deque(maxlen=RECENT_DECISIONS)
+        #: Frames whose verdict arrives from the batched finalize pass,
+        #: each with the session's health the moment it was processed —
+        #: by dispatch time a later frame in the same drain burst may
+        #: already have moved the health machine on.
+        self.pending: List[Tuple[TelemetryFrame, str]] = []
+        #: The last decisions' values (see :meth:`recent_records`).
+        self.recent: Deque[DecisionValues] = deque(maxlen=RECENT_DECISIONS)
         # The chain's genesis is the session id, so two sessions with
         # identical decision histories still have distinct digests.
         self.digest = sha256(spec.session_id.encode("utf-8")).hexdigest()
@@ -232,7 +274,7 @@ class FleetSession:
 
     @property
     def health(self) -> str:
-        return self.supervisor.stats.health.value
+        return HEALTH_VALUE[self.supervisor.stats.health]
 
     # -- ingest (bounded queue, explicit backpressure) ---------------------------
 
@@ -259,19 +301,28 @@ class FleetSession:
         alert: bool,
         health: Optional[str] = None,
     ) -> None:
-        record = DecisionRecord(
-            tick=tick,
-            dac=tuple(frame.dac),
-            pedal_down=frame.pedal_down,
-            had_mpos=frame.mpos is not None,
-            allowed=allowed,
-            evaluated=evaluated,
-            alert=alert,
-            health=self.health if health is None else health,
-        ).to_dict()
-        self.digest = _chain_digest(self.digest, record)
+        """Extend the hash chain with one decision (and keep it in ``recent``)."""
+        values = (
+            tick,
+            tuple(frame.dac),
+            frame.pedal_down,
+            frame.mpos is not None,
+            allowed,
+            evaluated,
+            alert,
+            self.health if health is None else health,
+        )
+        self.digest = _chain_link(self.digest, values)
         self.decisions += 1
-        self.recent.append(record)
+        self.recent.append(values)
+
+    def recent_records(self, count: Optional[int] = None) -> List[Dict[str, Any]]:
+        """The last ``count`` retained decision records (default: all),
+        oldest first."""
+        values = list(self.recent)
+        if count is not None:
+            values = values[-count:]
+        return [decision_record(v) for v in values]
 
     def fingerprint(self) -> Dict[str, Any]:
         """Comparable identity of this session's entire history."""

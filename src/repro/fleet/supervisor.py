@@ -35,35 +35,27 @@ deterministic.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.control.state_machine import RobotState
-from repro.core.estimator import BatchedNextStateEstimator
+from repro.core.estimator import BatchedNextStateEstimator, StateEstimate
 from repro.core.pipeline import DetectorGuard
 from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
 from repro.fleet.config import FleetConfig
-from repro.fleet.session import FleetSession, SessionSpec, TelemetryFrame, _PendingDecision
+from repro.fleet.session import FleetSession, SessionSpec, TelemetryFrame
 from repro.fleet.store import (
     InMemorySessionStore,
     RetryingSessionStore,
     SessionSnapshot,
     SessionStore,
 )
+from repro.hw.usb_packet import CommandPacket
 from repro.obs.export import write_jsonl
 from repro.obs.runtime import get_runtime
-
-
-@dataclass
-class _FleetCapture:
-    """One deferred guard evaluation (one frame on one lane)."""
-
-    lane: int
-    guard: DetectorGuard
-    packet: Any
-    mpos: Optional[np.ndarray]
 
 
 class _SessionPack:
@@ -75,6 +67,13 @@ class _SessionPack:
     fleet reports decisions instead of driving motors).  Per-lane scalar
     work (detector evaluation, mitigation chain) is isolated: a lane that
     throws is reported as faulted, never allowed to unwind the pack.
+
+    A round's masks and measurement/DAC rows live in lane-indexed arrays
+    the pack allocates once and clears each round; the estimator reads
+    them and keeps none of them.  The per-lane estimates a round hands to
+    the guards are rows of arrays :meth:`BatchedNextStateEstimator.estimate`
+    allocates afresh and nothing writes again, so a guard's
+    ``last_estimate`` may hold those rows without copying them.
     """
 
     def __init__(self, guards: List[DetectorGuard]) -> None:
@@ -99,10 +98,25 @@ class _SessionPack:
         )
         for lane, guard in enumerate(guards):
             self.estimator.load_lane_state(lane, guard.estimator.snapshot())
-        self._lane_of = {id(g): i for i, g in enumerate(guards)}
-        self._captures: List[List[_FleetCapture]] = [[] for _ in guards]
+        self._captures: List[List[Tuple[CommandPacket, Optional[np.ndarray]]]] = [
+            [] for _ in guards
+        ]
+        self._index_lanes()
+        # The fleet owns the pack; guards reach it through a proxy, so no
+        # pack <-> guard cycle keeps a dropped fleet's sessions alive.
+        sink = weakref.proxy(self)
         for guard in guards:
-            guard._batch_sink = self
+            guard._batch_sink = sink
+
+    def _index_lanes(self) -> None:
+        """(Re)build the lane lookup and the round buffers."""
+        num = len(self.guards)
+        self._lane_of = {id(g): i for i, g in enumerate(self.guards)}
+        self._sync_mask = np.zeros(num, dtype=bool)
+        self._coast_mask = np.zeros(num, dtype=bool)
+        self._eval_mask = np.zeros(num, dtype=bool)
+        self._mpos_rows = np.zeros((num, 3))
+        self._dac_rows = np.zeros((num, 3))
 
     @property
     def num_lanes(self) -> int:
@@ -116,10 +130,7 @@ class _SessionPack:
 
     def capture(self, guard: DetectorGuard, packet, mpos) -> bool:
         """Record one packet for deferred batched evaluation."""
-        lane = self._lane_of[id(guard)]
-        self._captures[lane].append(
-            _FleetCapture(lane=lane, guard=guard, packet=packet, mpos=mpos)
-        )
+        self._captures[self._lane_of[id(guard)]].append((packet, mpos))
         return True
 
     def finalize(
@@ -133,63 +144,70 @@ class _SessionPack:
         raised (their remaining captures are dropped — the session is
         about to be quarantined).
         """
-        num = self.num_lanes
         decisions: List[Tuple[int, bool, bool, bool]] = []
         faults: List[Tuple[int, BaseException]] = []
-        dead = np.zeros(num, dtype=bool)
+        estimator = self.estimator
+        sync_mask, coast_mask, eval_mask = (
+            self._sync_mask,
+            self._coast_mask,
+            self._eval_mask,
+        )
+        mpos_rows, dac_rows = self._mpos_rows, self._dac_rows
         while any(self._captures):
-            self.estimator.model.refresh_parameters()
-            round_caps: List[Optional[_FleetCapture]] = [
-                caps.pop(0) if caps else None for caps in self._captures
+            estimator.model.refresh_parameters()
+            # A faulted lane's queue is emptied, so it takes no part in
+            # any later round.
+            round_caps = [
+                (lane, *caps.pop(0))
+                for lane, caps in enumerate(self._captures)
+                if caps
             ]
-            sync_mask = np.zeros(num, dtype=bool)
-            coast_mask = np.zeros(num, dtype=bool)
-            mpos_rows = np.zeros((num, 3))
-            for cap in round_caps:
-                if cap is None or dead[cap.lane]:
-                    continue
-                if cap.mpos is not None:
-                    sync_mask[cap.lane] = True
-                    mpos_rows[cap.lane] = cap.mpos
+            sync_mask.fill(False)
+            coast_mask.fill(False)
+            mpos_rows.fill(0.0)
+            for lane, _, mpos in round_caps:
+                if mpos is not None:
+                    sync_mask[lane] = True
+                    mpos_rows[lane] = mpos
                 else:
-                    coast_mask[cap.lane] = True
+                    coast_mask[lane] = True
             if sync_mask.any():
-                self.estimator.sync(mpos_rows, sync_mask)
+                estimator.sync(mpos_rows, sync_mask)
             if coast_mask.any():
-                self.estimator.coast(coast_mask)
+                estimator.coast(coast_mask)
 
-            synced = self.estimator.synced
-            eval_mask = np.zeros(num, dtype=bool)
-            dac_rows = np.zeros((num, 3))
-            for cap in round_caps:
-                if cap is None or dead[cap.lane]:
-                    continue
-                if cap.packet.state is RobotState.PEDAL_DOWN and synced[cap.lane]:
-                    eval_mask[cap.lane] = True
-                    dac_rows[cap.lane] = np.asarray(
-                        cap.packet.dac_values[:3], dtype=float
-                    )
+            synced = estimator.synced.tolist()
+            eval_mask.fill(False)
+            dac_rows.fill(0.0)
+            for lane, packet, _ in round_caps:
+                if packet.state is RobotState.PEDAL_DOWN and synced[lane]:
+                    eval_mask[lane] = True
+                    dac_rows[lane] = packet.dac_values[:3]
             if eval_mask.any():
-                batch_estimate = self.estimator.estimate(dac_rows, eval_mask)
-            for cap in round_caps:
-                if cap is None or dead[cap.lane]:
-                    continue
-                if not eval_mask[cap.lane]:
+                batch = estimator.estimate(dac_rows, eval_mask)
+            evaluate = eval_mask.tolist()
+            for lane, packet, _ in round_caps:
+                if not evaluate[lane]:
                     # Pedal up / not yet synced: allowed, not evaluated.
-                    decisions.append((cap.lane, True, False, False))
+                    decisions.append((lane, True, False, False))
                     continue
+                guard = self.guards[lane]
                 try:
-                    estimate = batch_estimate.lane(cap.lane)
-                    result = cap.guard.detector.evaluate(estimate)
-                    allowed = cap.guard._finish_evaluation(
-                        cap.packet, estimate, result
+                    estimate = StateEstimate(
+                        motor_velocity=batch.motor_velocity[lane],
+                        motor_acceleration=batch.motor_acceleration[lane],
+                        joint_velocity=batch.joint_velocity[lane],
+                        jpos_next=batch.jpos_next[lane],
+                        jvel_next=batch.jvel_next[lane],
+                        elapsed_s=batch.elapsed_s,
                     )
+                    result = guard.detector.evaluate(estimate)
+                    allowed = guard._finish_evaluation(packet, estimate, result)
                 except Exception as exc:  # noqa: BLE001 — lane isolation
-                    faults.append((cap.lane, exc))
-                    dead[cap.lane] = True
-                    self._captures[cap.lane].clear()
+                    faults.append((lane, exc))
+                    self._captures[lane].clear()
                     continue
-                decisions.append((cap.lane, allowed, True, result.alert))
+                decisions.append((lane, allowed, True, result.alert))
         return decisions, faults
 
     def writeback(self, lane: int) -> None:
@@ -212,7 +230,7 @@ class _SessionPack:
         self._captures = [
             caps for i, caps in enumerate(self._captures) if i not in removed
         ]
-        self._lane_of = {id(g): i for i, g in enumerate(self.guards)}
+        self._index_lanes()
 
     def detach(self) -> None:
         for lane, guard in enumerate(self.guards):
@@ -402,14 +420,9 @@ class FleetSupervisor:
             lanes = self.active
             for lane, allowed, evaluated, alert in decisions:
                 session = lanes[lane]
-                pending = session.pending.pop(0)
+                frame, health = session.pending.pop(0)
                 session.record_decision(
-                    pending.tick,
-                    pending.frame,
-                    allowed,
-                    evaluated,
-                    alert,
-                    health=pending.health,
+                    frame.tick, frame, allowed, evaluated, alert, health=health
                 )
             for lane, exc in faults:
                 session = lanes[lane]
@@ -451,11 +464,7 @@ class FleetSupervisor:
         # tick, so a resumed session replaying old frames at later fleet
         # ticks still reproduces the uninterrupted run's exact chain.
         if lane is not None and self._pack.pending_captures(lane) > before:
-            session.pending.append(
-                _PendingDecision(
-                    tick=frame.tick, frame=frame, health=session.health
-                )
-            )
+            session.pending.append((frame, session.health))
         else:
             session.record_decision(
                 frame.tick, frame, allowed, evaluated=False, alert=False
@@ -587,7 +596,7 @@ class FleetSupervisor:
                 "digest": session.digest,
             }
         ]
-        records.extend(session.recent)
+        records.extend(session.recent_records())
         write_jsonl(path, records)
 
     # -- checkpoints -------------------------------------------------------------

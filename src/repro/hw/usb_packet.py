@@ -113,6 +113,31 @@ def encode_command_packet(
     return body + bytes((_checksum(body),))
 
 
+def command_packet(
+    state: RobotState, watchdog: bool, dac_values: Sequence[int]
+) -> CommandPacket:
+    """``decode_command_packet(encode_command_packet(...))``, without the bytes.
+
+    Same checks, in the same order, with the same :class:`PacketError`
+    messages.  The decoded fields follow from the encoder's: no state byte
+    sets the watchdog bit, so the byte decodes back to ``state`` and
+    ``watchdog``; missing channels are zero; and a packet this side encodes
+    always carries a valid checksum.
+    """
+    if len(dac_values) > constants.USB_NUM_CHANNELS:
+        raise PacketError(f"at most {constants.USB_NUM_CHANNELS} DAC channels")
+    state_byte = _state_byte(state, watchdog)
+    dacs = _fit(dac_values, 16, "DAC value")
+    dacs += _ZEROS[: constants.USB_NUM_CHANNELS - len(dacs)]
+    return CommandPacket(
+        raw_state_byte=state_byte,
+        state=state,
+        watchdog=bool(watchdog),
+        dac_values=dacs,
+        checksum_ok=True,
+    )
+
+
 def decode_command_packet(data: bytes) -> CommandPacket:
     """Decode a command packet (reports, but does not enforce, the checksum)."""
     if len(data) != COMMAND_PACKET_SIZE:

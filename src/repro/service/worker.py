@@ -244,8 +244,7 @@ class ServiceWorker:
             delta = session.decisions - before.get(sid, 0)
             if delta <= 0:
                 continue
-            recent = list(session.recent)
-            decisions[sid] = recent[-delta:] if delta <= len(recent) else recent
+            decisions[sid] = session.recent_records(delta)
             self.tenant_decisions[sid] = (
                 self.tenant_decisions.get(sid, 0) + delta
             )

@@ -35,6 +35,15 @@ class TestScale:
         assert PAPER.repetitions == 20
         assert 2 in PAPER.periods_ms and 256 in PAPER.periods_ms
 
+    def test_paper_run_counts_as_documented(self):
+        """The run counts scale.py and EXPERIMENTS.md state for the preset."""
+        import repro.experiments.scale as scale
+
+        for errors in (PAPER.errors_a_mm, PAPER.errors_b_dac):
+            runs = len(errors) * len(PAPER.periods_ms) * PAPER.repetitions
+            assert runs + PAPER.fault_free_runs == 1345
+        assert "6 x 8 x 20 + 385 = 1 345 runs" in scale.__doc__
+
     def test_scales_ordered_by_size(self):
         assert SMOKE.training_runs < DEFAULT.training_runs < PAPER.training_runs
 

@@ -15,9 +15,14 @@ The fail-operational contract under test:
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core.detector import FusionRule
 from repro.core.thresholds import SafetyThresholds
 from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
 from repro.experiments.fleet import (
@@ -37,6 +42,7 @@ from repro.fleet import (
     SessionSpec,
     SqliteSessionStore,
     TelemetryFrame,
+    canonical_payload,
 )
 from repro.obs.runtime import ENV_DIR, ENV_ENABLE, reset_runtime
 from repro.testing import ChaosInjector, FaultPlan, FaultSpec
@@ -573,6 +579,85 @@ class TestBatchedCheckpoint:
         assert [(s.session_id, s.version) for s in snaps] == [("a", 1), ("b", 1)]
         assert store.load("b") == snaps[1]
         assert fleet.sessions["a"].last_checkpoint_tick == 7
+
+
+class TestCheckpointBytes:
+    """The stored checkpoint bytes themselves, pinned.
+
+    Fingerprints and chains do not cover everything a checkpoint stores
+    (the transition log, alert margins, estimator and debouncer state), so
+    a change to the stored payload would pass the goldens unnoticed.
+    """
+
+    #: sha256 of ``canonical_payload`` for rig-001's checkpoint below.
+    PINNED = "1ce69a1f6533de60bed1292f4ce31f7a00c62484a2b205a140c22fadbd83409c"
+
+    def test_checkpoint_payload_bytes_are_pinned(self):
+        thresholds = SafetyThresholds(
+            motor_velocity=np.array([50.0, 50.0, 50.0]),
+            motor_acceleration=np.array([2000.0, 2000.0, 2000.0]),
+            joint_velocity=np.array([5.0, 5.0, 5.0]),
+        )
+        fleet = FleetSupervisor(config=FleetConfig())
+        specs = [
+            SessionSpec(
+                session_id=session_id(i),
+                thresholds=thresholds,
+                fusion=FusionRule.ANY,
+                decision_window=(1, 2),
+            )
+            for i in range(3)
+        ]
+        for s in specs:
+            fleet.register(s)
+        for tick in range(300):
+            for i, s in enumerate(specs):
+                frame = frame_for(0, i, tick)
+                if i == 1 and 200 <= tick < 203:  # a DAC spike: alerts, blocked
+                    frame = TelemetryFrame(tick, (32000, -32000, 32000), mpos=frame.mpos)
+                if i == 1 and tick == 120:  # an implausible encoder jump
+                    frame = TelemetryFrame(tick, frame.dac, mpos=(1.0, 1.0, 1.0))
+                fleet.ingest(s.session_id, frame)
+            fleet.tick(tick)
+        payload = fleet.checkpoint(session_id(1), 300).payload
+        stats = payload["supervisor"]["guard"]["stats"]
+        # Each dropout (every DROPOUT_EVERY-th frame) and the jump log two.
+        assert len(stats["health_transitions"]) == 36
+        assert stats["alerts"] == 4 and stats["implausible_measurements"] == 1
+        encoded = canonical_payload(payload).encode("utf-8")
+        assert hashlib.sha256(encoded).hexdigest() == self.PINNED
+
+
+class TestNoReferenceCycles:
+    def test_dropped_fleet_is_freed_by_reference_counting(self):
+        """Neither board <-> guard nor pack <-> guard forms a cycle, so a
+        dropped (or resumed-over) fleet frees its sessions' guard state at
+        once instead of waiting for the cyclic collector."""
+        store = InMemorySessionStore()
+        fleet = FleetSupervisor(store=store, config=FleetConfig(checkpoint_every=4))
+        for i in range(3):
+            fleet.register(spec(session_id(i)))
+        for tick in range(10):
+            for i in range(3):
+                fleet.ingest(session_id(i), frame_for(0, i, tick))
+            fleet.tick(tick)
+        resumed = FleetSupervisor(store=store, config=FleetConfig())
+        for i in range(3):
+            resumed.resume(spec(session_id(i)))
+        watched = self._watch(fleet) + self._watch(resumed)
+        gc.disable()
+        try:
+            del fleet, resumed
+            assert [ref() for ref in watched] == [None] * len(watched)
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def _watch(fleet):
+        session = fleet.sessions[session_id(1)]
+        guard = session.supervisor.guard
+        owned = (fleet._pack, session.board, session.supervisor, guard, guard.stats)
+        return [weakref.ref(obj) for obj in owned]
 
 
 class TestDrain:

@@ -1,0 +1,456 @@
+"""Property tests: the fleet's per-frame glue equals the forms it replaced.
+
+The fleet tick builds each frame's command packet without the wire
+bytes, writes each decision's chain link with a fixed formatter, screens
+measurements on Python floats and renders checkpoint payloads through
+lookup tables.  Each test keeps the replaced form as the specification
+and requires the same result, the same bytes, or the same exception
+(type and message).  The rules are in docs/architecture.md, "Fleet
+supervisor & session resilience".
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.control.state_machine import RobotState
+from repro.core.detector import AnomalyDetector, DetectionResult
+from repro.core.estimator import NextStateEstimator, hex_vector
+from repro.core.pipeline import (
+    AlertEvent,
+    DetectorGuard,
+    GuardHealth,
+    GuardStats,
+    GuardSupervisor,
+    SupervisorConfig,
+    _result_to_dict,
+)
+from repro.core.thresholds import SafetyThresholds
+from repro.experiments.fleet import frame_for, session_id
+from repro.fleet import FleetConfig, FleetSession, FleetSupervisor, SessionSpec, TelemetryFrame
+from repro.fleet.session import _chain_digest, _chain_link
+from repro.fleet.store import canonical_payload
+from repro.hw.usb_packet import command_packet, decode_command_packet, encode_command_packet
+
+pytestmark = pytest.mark.fleet
+
+THRESHOLDS = SafetyThresholds(
+    motor_velocity=np.array([50.0, 50.0, 50.0]),
+    motor_acceleration=np.array([50000.0, 50000.0, 50000.0]),
+    joint_velocity=np.array([5.0, 5.0, 5.0]),
+)
+
+
+def outcome(fn, *args):
+    """``("ok", result)`` or ``(exception type, message)``."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+any_floats = st.floats(allow_nan=True, allow_infinity=True)
+
+
+# -- the command packet ----------------------------------------------------------------
+
+
+def spec_command_packet(state, watchdog, dac_values):
+    return decode_command_packet(encode_command_packet(state, watchdog, dac_values))
+
+
+def packet_fields(packet):
+    """Every field, with the DAC values' exact types (``True == 1``)."""
+    return (
+        packet.raw_state_byte,
+        packet.state,
+        type(packet.watchdog),
+        packet.watchdog,
+        [(type(v), v) for v in packet.dac_values],
+        packet.checksum_ok,
+    )
+
+
+dac_value = st.one_of(
+    st.integers(-(1 << 15) - 3, (1 << 15) + 2),
+    st.integers(-(1 << 15), (1 << 15) - 1),
+    st.integers(),
+    st.floats(-40000.0, 40000.0),
+    any_floats,
+    st.booleans(),
+)
+
+
+class TestCommandPacket:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(list(RobotState)),
+        st.one_of(st.booleans(), st.integers(0, 2)),
+        st.lists(dac_value, max_size=9),
+    )
+    def test_equals_the_round_trip(self, state, watchdog, dacs):
+        new = outcome(command_packet, state, watchdog, dacs)
+        spec = outcome(spec_command_packet, state, watchdog, dacs)
+        if spec[0] == "ok":
+            assert new[0] == "ok"
+            assert packet_fields(new[1]) == packet_fields(spec[1])
+            assert new[1] == spec[1]
+        else:
+            assert new == spec
+
+    @pytest.mark.parametrize(
+        "dacs",
+        [[1] * 9, [40000], [-32769, 0, 0], [0, 1.5, float("nan")], [float("inf")]],
+    )
+    def test_same_packet_errors(self, dacs):
+        new = outcome(command_packet, RobotState.PEDAL_DOWN, True, dacs)
+        assert new[0] != "ok"
+        assert new == outcome(spec_command_packet, RobotState.PEDAL_DOWN, True, dacs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans(), st.tuples(*[st.integers(-40000, 40000)] * 3))
+    def test_telemetry_frame_to_packet(self, pedal_down, dac):
+        frame = TelemetryFrame(tick=0, dac=dac, pedal_down=pedal_down)
+        state = RobotState.PEDAL_DOWN if pedal_down else RobotState.PEDAL_UP
+        spec = outcome(spec_command_packet, state, True, list(dac))
+        new = outcome(frame.to_packet)
+        if spec[0] == "ok":
+            assert packet_fields(new[1]) == packet_fields(spec[1])
+        else:
+            assert new == spec
+
+
+# -- the chain link ----------------------------------------------------------------------
+
+
+#: Values the formatter writes itself: exact ``bool``, ``int`` and ``str``.
+plain_scalar = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(-(1 << 80), 1 << 80),
+    st.text(),
+    st.sampled_from([health.value for health in GuardHealth]),
+)
+
+#: Values that take the ``_chain_digest`` fallback (formatted or rejected).
+other_value = st.one_of(
+    any_floats,
+    st.none(),
+    st.builds(np.int64, st.integers(-(1 << 63), (1 << 63) - 1)),
+    st.builds(np.bool_, st.booleans()),
+    st.lists(st.integers(), max_size=2),
+    st.sampled_from(list(GuardHealth)),
+)
+
+field_value = st.one_of(plain_scalar, plain_scalar, other_value)
+
+
+def values_of(scalars, dac):
+    """Decision values: ``tick``, ``dac``, then the other six fields."""
+    tick, *rest = scalars
+    return (tick, tuple(dac), *rest)
+
+
+def spec_record(values):
+    """The decision record as a dict, ``dac`` as a list (the old form)."""
+    tick, dac, pedal_down, had_mpos, allowed, evaluated, alert, health = values
+    return {
+        "tick": tick,
+        "dac": list(dac),
+        "pedal_down": pedal_down,
+        "had_mpos": had_mpos,
+        "allowed": allowed,
+        "evaluated": evaluated,
+        "alert": alert,
+        "health": health,
+    }
+
+
+class TestChainLink:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.text(max_size=70),
+        st.lists(field_value, min_size=7, max_size=7),
+        st.lists(field_value, max_size=4),
+    )
+    def test_equals_chain_digest(self, prev, scalars, dac):
+        values = values_of(scalars, dac)
+        assert outcome(_chain_link, prev, values) == outcome(
+            _chain_digest, prev, spec_record(values)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(),
+        st.lists(st.one_of(st.booleans(), st.integers()), min_size=3, max_size=3),
+        st.lists(st.booleans(), min_size=5, max_size=5),
+        st.sampled_from(list(GuardHealth)),
+    )
+    def test_decision_records(self, tick, dac, flags, health):
+        """Bool DAC entries, negative and large ints, every health value."""
+        values = values_of([tick, *flags, health.value], dac)
+        assert _chain_link("0" * 64, values) == _chain_digest("0" * 64, spec_record(values))
+
+    @pytest.mark.parametrize(
+        "odd", [1.5, float("nan"), float("inf"), -float("inf"), 1e16, None, np.int64(1)]
+    )
+    def test_non_plain_values_fall_back(self, odd):
+        for position in range(7):
+            scalars = [1, True, True, True, True, False, "nominal"]
+            scalars[position] = odd
+            for dac in ([1, 2, 3], [odd, 2, 3]):
+                values = values_of(scalars, dac)
+                assert outcome(_chain_link, "a", values) == outcome(
+                    _chain_digest, "a", spec_record(values)
+                )
+
+    def test_session_chain_matches_the_spec(self):
+        session = FleetSession(SessionSpec("s", THRESHOLDS), FleetConfig())
+        digest = session.digest
+        for tick in range(20):
+            frame = TelemetryFrame(
+                tick=tick,
+                dac=(tick - 10, True, 1 << 20),
+                pedal_down=tick % 3 != 0,
+                mpos=None if tick % 4 else (0.0, 0.0, 0.0),
+            )
+            session.record_decision(tick, frame, tick % 2 == 0, tick % 5 == 0, False)
+            digest = _chain_digest(
+                digest,
+                {
+                    "tick": tick,
+                    "dac": list(frame.dac),
+                    "pedal_down": frame.pedal_down,
+                    "had_mpos": frame.mpos is not None,
+                    "allowed": tick % 2 == 0,
+                    "evaluated": tick % 5 == 0,
+                    "alert": False,
+                    "health": session.health,
+                },
+            )
+            assert session.digest == digest
+        assert session.recent_records(1) == [
+            {
+                "tick": 19,
+                "dac": [9, True, 1 << 20],
+                "pedal_down": True,
+                "had_mpos": False,
+                "allowed": False,
+                "evaluated": False,
+                "alert": False,
+                "health": "nominal",
+            }
+        ]
+        assert len(session.recent_records()) == 20
+
+
+# -- the plausibility screen -----------------------------------------------------------
+
+
+def spec_plausible(mpos, last, limit):
+    if not np.isfinite(mpos).all():
+        return False
+    if last is None:
+        return True
+    jump = float(np.max(np.abs(mpos - last)))
+    return jump <= limit
+
+
+@pytest.fixture(scope="module")
+def supervisor():
+    guard = DetectorGuard(NextStateEstimator(), AnomalyDetector(THRESHOLDS))
+    return GuardSupervisor(guard)
+
+
+def near(limit):
+    """Offsets at, just inside and just outside the jump limit."""
+    edges = [limit, -limit, math.nextafter(limit, math.inf), math.nextafter(limit, 0.0)]
+    return st.one_of(st.sampled_from(edges + [0.0, -0.0]), any_floats)
+
+
+class TestPlausible:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(any_floats, min_size=3, max_size=3),
+        st.one_of(st.none(), st.lists(any_floats, min_size=3, max_size=3)),
+        st.sampled_from([0.5, 0.015, 0.0, 1e-300, math.inf]),
+        st.data(),
+    )
+    def test_equals_the_numpy_form(self, supervisor, values, last, limit, data):
+        if last is not None and data.draw(st.booleans()):
+            # Measurements one offset away from the last, ties included.
+            values = [prev + data.draw(near(limit)) for prev in last]
+        mpos = np.array(values)
+        last_mpos = None if last is None else np.array(last)
+        supervisor.config = SupervisorConfig(implausible_jump_rad=limit)
+        supervisor._last_mpos = last_mpos
+        with np.errstate(all="ignore"):
+            expected = spec_plausible(mpos, last_mpos, limit)
+        assert supervisor._plausible(mpos) is expected
+
+    @pytest.mark.parametrize(
+        "mpos, last, expected",
+        [
+            ([0.5, -0.5, 0.0], [0.0, 0.0, -0.0], True),
+            ([math.nextafter(0.5, 1.0), 0.0, 0.0], [0.0, 0.0, 0.0], False),
+            ([-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], True),
+            ([math.nan, 0.0, 0.0], None, False),
+            ([0.0, math.inf, 0.0], None, False),
+            ([0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], False),
+            ([0.0, 0.0, 0.0], [0.0, -math.inf, 0.0], False),
+            ([9.0, 9.0, 9.0], None, True),
+        ],
+    )
+    def test_edges(self, supervisor, mpos, last, expected):
+        supervisor.config = SupervisorConfig(implausible_jump_rad=0.5)
+        supervisor._last_mpos = None if last is None else np.array(last)
+        with np.errstate(all="ignore"):
+            assert spec_plausible(np.array(mpos), supervisor._last_mpos, 0.5) is expected
+        assert supervisor._plausible(np.array(mpos)) is expected
+
+
+# -- checkpoint payloads -----------------------------------------------------------------
+
+
+def spec_hex_vector(values):
+    if values is None:
+        return None
+    return [float(v).hex() for v in np.asarray(values, dtype=float)]
+
+
+def spec_stats_snapshot(stats: GuardStats) -> dict:
+    """``GuardStats.snapshot`` with ``Enum.value`` per transition row."""
+    return {
+        "packets_seen": stats.packets_seen,
+        "packets_evaluated": stats.packets_evaluated,
+        "alerts": stats.alerts,
+        "blocked": stats.blocked,
+        "alerts_dropped": stats.alerts_dropped,
+        "coasted_cycles": stats.coasted_cycles,
+        "implausible_measurements": stats.implausible_measurements,
+        "stale_escalations": stats.stale_escalations,
+        "health": stats.health.value,
+        "health_transitions": [
+            [cycle, health.value] for cycle, health in stats.health_transitions
+        ],
+        "alert_events": [
+            {
+                "cycle": event.cycle,
+                "state": event.state.name,
+                "result": _result_to_dict(event.result),
+                "blocked": event.blocked,
+            }
+            for event in stats.alert_events
+        ],
+    }
+
+
+health = st.sampled_from(list(GuardHealth))
+alert_event = st.builds(
+    AlertEvent,
+    cycle=st.integers(0, 10**6),
+    state=st.sampled_from(list(RobotState)),
+    result=st.builds(
+        DetectionResult,
+        alert=st.booleans(),
+        alarms=st.fixed_dictionaries({"motor_velocity": st.booleans()}),
+        margins=st.fixed_dictionaries({"motor_velocity": any_floats}),
+        raw_alert=st.one_of(st.none(), st.booleans()),
+    ),
+    blocked=st.booleans(),
+)
+
+
+class TestCheckpointPayload:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 10**9), min_size=8, max_size=8),
+        health,
+        st.lists(st.tuples(st.integers(0, 10**9), health), max_size=40),
+        st.lists(alert_event, max_size=3),
+    )
+    def test_stats_snapshot_bytes(self, counters, current, transitions, events):
+        stats = GuardStats(*counters[:8], health=current)
+        stats.health_transitions = transitions
+        stats.alert_events = events
+        assert canonical_payload(stats.snapshot()) == canonical_payload(
+            spec_stats_snapshot(stats)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.none(),
+            st.lists(any_floats, max_size=6),
+            st.lists(any_floats, max_size=6).map(np.array),
+            st.lists(st.floats(width=32), max_size=6).map(
+                lambda v: np.array(v, dtype=np.float32)
+            ),
+            st.lists(st.integers(-(1 << 40), 1 << 40), max_size=6).map(np.array),
+        )
+    )
+    def test_hex_vector(self, values):
+        assert outcome(hex_vector, values) == outcome(spec_hex_vector, values)
+
+
+json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()
+)
+json_tree = st.recursive(
+    json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestCanonicalPayload:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(max_size=6), json_tree, max_size=5))
+    def test_equals_checked_json_dumps(self, payload):
+        spec = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert canonical_payload(payload) == spec
+
+    def test_payload_containing_itself_raises(self):
+        payload: dict = {"a": []}
+        payload["a"].append(payload)
+        with pytest.raises(RecursionError):
+            canonical_payload(payload)
+
+
+class TestLaneEstimates:
+    def test_last_estimates_survive_later_ticks(self):
+        """A guard's ``last_estimate`` never aliases a buffer the pack
+        reuses: the values it holds stay put while later ticks run."""
+        fleet = FleetSupervisor(config=FleetConfig())
+        for i in range(4):
+            fleet.register(SessionSpec(session_id(i), THRESHOLDS))
+        kept = []
+        for tick in range(40):
+            for i in range(4):
+                fleet.ingest(session_id(i), frame_for(0, i, tick))
+            fleet.tick(tick)
+            for session in fleet.active:
+                estimate = session.supervisor.last_estimate
+                if estimate is not None:
+                    kept.append((estimate, [a.tobytes() for a in fields_of(estimate)]))
+        assert len(kept) > 100
+        for estimate, frozen in kept:
+            assert [a.tobytes() for a in fields_of(estimate)] == frozen
+
+
+def fields_of(estimate):
+    return (
+        estimate.motor_velocity,
+        estimate.motor_acceleration,
+        estimate.joint_velocity,
+        estimate.jpos_next,
+        estimate.jvel_next,
+    )
