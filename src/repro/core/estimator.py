@@ -405,6 +405,24 @@ class BatchedNextStateEstimator:
             "coast_streak": int(self.coast_streak[lane]),
         }
 
+    def copy_lane_into(self, lane: int, estimator: NextStateEstimator) -> None:
+        """Copy one lane's state into a scalar estimator.
+
+        ``estimator.snapshot()`` then equals :meth:`lane_state`, as after
+        ``estimator.restore(self.lane_state(lane))``, without the hex
+        round trip.  The scalar estimator gets copies of the rows, so
+        later batched steps leave it as it is.
+        """
+        estimator._jpos = self._jpos[lane].copy() if self._synced[lane] else None
+        estimator._jvel = self._jvel[lane].copy()
+        if self._has_prediction[lane]:
+            estimator._predicted_jpos = self._predicted_jpos[lane].copy()
+            estimator._predicted_jvel = self._predicted_jvel[lane].copy()
+        else:
+            estimator._predicted_jpos = None
+            estimator._predicted_jvel = None
+        estimator.coast_streak = int(self.coast_streak[lane])
+
     def load_lane_state(self, lane: int, state: Dict[str, Any]) -> None:
         """Install a scalar snapshot into one lane (inverse of
         :meth:`lane_state`).

@@ -77,6 +77,13 @@ class GuardHealth(enum.Enum):
 #: spelling for transition logs and per-frame health labels.
 HEALTH_VALUE: Dict[GuardHealth, str] = {health: health.value for health in GuardHealth}
 
+#: How many health transitions :class:`GuardStats` keeps (the newest);
+#: older ones are counted in ``transitions_dropped``.  The log is part of
+#: every session checkpoint, so an unbounded one made checkpoint cost,
+#: payload size and memory grow with session age.  Same bound as a fleet
+#: session's recent-decision ring.
+MAX_HEALTH_TRANSITIONS = 64
+
 
 @dataclass
 class AlertEvent:
@@ -127,9 +134,12 @@ class GuardStats:
     stale_escalations: int = 0
     #: Current detector-runtime health (NOMINAL without a supervisor).
     health: GuardHealth = GuardHealth.NOMINAL
-    #: ``(cycle, health)`` transition log, in order.
+    #: ``(cycle, health)`` transition log, in order: the newest
+    #: :data:`MAX_HEALTH_TRANSITIONS` transitions.
     health_transitions: List[Tuple[int, GuardHealth]] = field(default_factory=list)
     alert_events: List[AlertEvent] = field(default_factory=list)
+    #: Transitions that fell off the front of ``health_transitions``.
+    transitions_dropped: int = 0
 
     @property
     def alerted(self) -> bool:
@@ -163,10 +173,17 @@ class GuardStats:
             return
         self.health = health
         self.health_transitions.append((cycle, health))
+        if len(self.health_transitions) > MAX_HEALTH_TRANSITIONS:
+            del self.health_transitions[0]
+            self.transitions_dropped += 1
 
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot of every counter and event log."""
-        return {
+        """JSON-serializable snapshot of every counter and event log.
+
+        ``transitions_dropped`` is written only once it is non-zero, so a
+        log that never overflowed keeps the payload it had before the cap.
+        """
+        data = {
             "packets_seen": self.packets_seen,
             "packets_evaluated": self.packets_evaluated,
             "alerts": self.alerts,
@@ -190,10 +207,20 @@ class GuardStats:
                 for event in self.alert_events
             ],
         }
+        if self.transitions_dropped:
+            data["transitions_dropped"] = self.transitions_dropped
+        return data
 
     @classmethod
     def from_snapshot(cls, data: Dict[str, Any]) -> "GuardStats":
-        """Rebuild the exact stats object :meth:`snapshot` captured."""
+        """Rebuild the exact stats object :meth:`snapshot` captured.
+
+        A log longer than :data:`MAX_HEALTH_TRANSITIONS` (written before
+        the cap) keeps its newest entries; the rest are counted as
+        dropped, exactly as if the cap had been there all along.
+        """
+        transitions = data["health_transitions"]
+        excess = max(0, len(transitions) - MAX_HEALTH_TRANSITIONS)
         return cls(
             packets_seen=data["packets_seen"],
             packets_evaluated=data["packets_evaluated"],
@@ -205,8 +232,7 @@ class GuardStats:
             stale_escalations=data["stale_escalations"],
             health=GuardHealth(data["health"]),
             health_transitions=[
-                (cycle, GuardHealth(value))
-                for cycle, value in data["health_transitions"]
+                (cycle, GuardHealth(value)) for cycle, value in transitions[excess:]
             ],
             alert_events=[
                 AlertEvent(
@@ -217,6 +243,7 @@ class GuardStats:
                 )
                 for event in data["alert_events"]
             ],
+            transitions_dropped=data.get("transitions_dropped", 0) + excess,
         )
 
 

@@ -216,7 +216,7 @@ class _SessionPack:
         Called before checkpointing (the snapshot serializes the scalar
         estimator) and before rebuilding the pack.
         """
-        self.guards[lane].estimator.restore(self.estimator.lane_state(lane))
+        self.estimator.copy_lane_into(lane, self.guards[lane].estimator)
 
     def remove_lanes(self, lanes: List[int]) -> None:
         """Eject quarantined lanes; survivors' rows keep their bytes."""

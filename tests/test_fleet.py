@@ -22,7 +22,9 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.detector import FusionRule
+from repro.core.pipeline import MAX_HEALTH_TRANSITIONS
 from repro.core.thresholds import SafetyThresholds
 from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
 from repro.experiments.fleet import (
@@ -626,6 +628,77 @@ class TestCheckpointBytes:
         assert stats["alerts"] == 4 and stats["implausible_measurements"] == 1
         encoded = canonical_payload(payload).encode("utf-8")
         assert hashlib.sha256(encoded).hexdigest() == self.PINNED
+
+
+def run_ticks(fleet, ticks, sid=session_id(0)):
+    for tick in ticks:
+        fleet.ingest(sid, frame_for(0, 0, tick))
+        fleet.tick(tick)
+
+
+class TestCheckpointBytesPastCap:
+    """A session whose transition log overflowed the cap, pinned.
+
+    Two transitions per dropout fill the 64-entry log by tick ~550, so
+    every later checkpoint carries a full log and ``transitions_dropped``.
+    """
+
+    #: sha256 of ``canonical_payload`` for the tick-3000 checkpoint below.
+    PINNED = "b69d7ad607c4db22c3a1923c3d28ed1cade03ffb372c1bd3e6de26812403c0ff"
+
+    def test_payload_bytes_are_pinned_and_do_not_grow_with_age(self):
+        sid = session_id(0)
+        fleet = FleetSupervisor(config=FleetConfig(checkpoint_every=10**6))
+        fleet.register(spec(sid))
+        run_ticks(fleet, range(1001))
+        young = canonical_payload(fleet.checkpoint(sid, 1000).payload)
+        run_ticks(fleet, range(1001, 3001))
+        payload = fleet.checkpoint(sid, 3000).payload
+        old = canonical_payload(payload)
+
+        stats = payload["supervisor"]["guard"]["stats"]
+        assert len(stats["health_transitions"]) == MAX_HEALTH_TRANSITIONS
+        assert stats["transitions_dropped"] == 288
+        # Age-bound: only digits grow.  Each logged cycle and each counter
+        # may gain one; 2000 more ticks of an uncapped log add ~4 KB.
+        assert abs(len(old) - len(young)) <= MAX_HEALTH_TRANSITIONS + 16
+        assert hashlib.sha256(old.encode("utf-8")).hexdigest() == self.PINNED
+
+    def test_resume_from_an_uncapped_log(self, monkeypatch):
+        """A checkpoint written before the cap (the whole log, no
+        ``transitions_dropped``) resumes into the capped session: from
+        then on it checkpoints the same bytes as a session that ran
+        capped all along, with the same fingerprint."""
+        sid = session_id(0)
+        cfg = FleetConfig(checkpoint_every=10**6)
+        store = InMemorySessionStore()
+        monkeypatch.setattr(pipeline, "MAX_HEALTH_TRANSITIONS", 10**9)
+        uncapped = FleetSupervisor(store=store, config=cfg)
+        uncapped.register(spec(sid))
+        log = uncapped.sessions[sid].supervisor.stats.health_transitions
+        tick = -1
+        while len(log) < 200:
+            tick += 1
+            run_ticks(uncapped, [tick])
+        stats = uncapped.checkpoint(sid, tick).payload["supervisor"]["guard"]["stats"]
+        assert len(stats["health_transitions"]) == 200
+        assert "transitions_dropped" not in stats
+        monkeypatch.undo()
+
+        resumed = FleetSupervisor(store=store, config=cfg)
+        restored = resumed.resume(spec(sid)).supervisor.stats
+        assert len(restored.health_transitions) == MAX_HEALTH_TRANSITIONS
+        assert restored.transitions_dropped == 200 - MAX_HEALTH_TRANSITIONS
+        live = FleetSupervisor(config=cfg)
+        live.register(spec(sid))
+        end = tick + 100
+        run_ticks(live, range(end + 1))
+        run_ticks(resumed, range(tick + 1, end + 1))
+
+        assert canonical_payload(resumed.checkpoint(sid, end).payload) == (
+            canonical_payload(live.checkpoint(sid, end).payload)
+        )
+        assert resumed.fingerprints() == live.fingerprints()
 
 
 class TestNoReferenceCycles:

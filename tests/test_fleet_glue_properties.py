@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.control.state_machine import RobotState
 from repro.core.detector import AnomalyDetector, DetectionResult
-from repro.core.estimator import NextStateEstimator, hex_vector
+from repro.core.dynamic_model import RavenDynamicModel
+from repro.core.estimator import BatchedNextStateEstimator, NextStateEstimator, hex_vector
 from repro.core.pipeline import (
     AlertEvent,
     DetectorGuard,
@@ -348,6 +349,11 @@ def spec_stats_snapshot(stats: GuardStats) -> dict:
             }
             for event in stats.alert_events
         ],
+        **(
+            {"transitions_dropped": stats.transitions_dropped}
+            if stats.transitions_dropped
+            else {}
+        ),
     }
 
 
@@ -374,9 +380,10 @@ class TestCheckpointPayload:
         health,
         st.lists(st.tuples(st.integers(0, 10**9), health), max_size=40),
         st.lists(alert_event, max_size=3),
+        st.one_of(st.just(0), st.integers(1, 10**9)),
     )
-    def test_stats_snapshot_bytes(self, counters, current, transitions, events):
-        stats = GuardStats(*counters[:8], health=current)
+    def test_stats_snapshot_bytes(self, counters, current, transitions, events, dropped):
+        stats = GuardStats(*counters[:8], health=current, transitions_dropped=dropped)
         stats.health_transitions = transitions
         stats.alert_events = events
         assert canonical_payload(stats.snapshot()) == canonical_payload(
@@ -423,6 +430,100 @@ class TestCanonicalPayload:
         payload["a"].append(payload)
         with pytest.raises(RecursionError):
             canonical_payload(payload)
+
+
+# -- lane writeback ------------------------------------------------------------------------
+
+LANES = 3
+row = st.lists(any_floats, min_size=3, max_size=3)
+lane_fill = st.fixed_dictionaries(
+    {
+        "synced": st.booleans(),
+        "has_prediction": st.booleans(),
+        "jpos": row,
+        "jvel": row,
+        "predicted_jpos": row,
+        "predicted_jvel": row,
+        "coast_streak": st.integers(0, 10**6),
+    }
+)
+
+
+def filled_batch(fills):
+    """A batched estimator whose lanes hold exactly ``fills``."""
+    batch = BatchedNextStateEstimator([RavenDynamicModel() for _ in fills])
+    for lane, fill in enumerate(fills):
+        batch._synced[lane] = fill["synced"]
+        batch._has_prediction[lane] = fill["has_prediction"]
+        batch._jpos[lane] = fill["jpos"]
+        batch._jvel[lane] = fill["jvel"]
+        batch._predicted_jpos[lane] = fill["predicted_jpos"]
+        batch._predicted_jvel[lane] = fill["predicted_jvel"]
+        batch.coast_streak[lane] = fill["coast_streak"]
+    return batch
+
+
+def stale_estimator():
+    """A scalar estimator holding state the copy must overwrite."""
+    estimator = NextStateEstimator()
+    estimator.sync([0.1, 0.2, 0.3])
+    estimator.estimate([100.0, 100.0, 100.0])
+    estimator.coast_streak = 7
+    return estimator
+
+
+def spec_writeback(batch, lane):
+    estimator = NextStateEstimator()
+    estimator.restore(batch.lane_state(lane))
+    return estimator
+
+
+EDGE_ROWS = ([-0.0, math.inf, -math.inf], [math.nan, -0.0, 0.0])
+
+
+class TestLaneWriteback:
+    """``copy_lane_into`` equals the ``restore(lane_state(lane))`` it
+    replaced, and hands the scalar estimator rows it owns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(lane_fill, min_size=LANES, max_size=LANES))
+    def test_equals_restore_of_lane_state(self, fills):
+        batch = filled_batch(fills)
+        for lane in range(LANES):
+            estimator = stale_estimator()
+            batch.copy_lane_into(lane, estimator)
+            spec = spec_writeback(batch, lane)
+            assert estimator.snapshot() == spec.snapshot()
+            assert type(estimator.coast_streak) is int
+            assert estimator.synced == spec.synced
+
+    @pytest.mark.parametrize("synced", [False, True])
+    @pytest.mark.parametrize("has_prediction", [False, True])
+    def test_edges_and_no_aliasing(self, synced, has_prediction):
+        jpos, jvel = EDGE_ROWS
+        fill = {
+            "synced": synced,
+            "has_prediction": has_prediction,
+            "jpos": jpos,
+            "jvel": jvel,
+            "predicted_jpos": jvel,
+            "predicted_jvel": jpos,
+            "coast_streak": 3,
+        }
+        batch = filled_batch([fill] * LANES)
+        estimators = [stale_estimator() for _ in range(LANES)]
+        for lane, estimator in enumerate(estimators):
+            batch.copy_lane_into(lane, estimator)
+            assert estimator.snapshot() == spec_writeback(batch, lane).snapshot()
+        copied = [estimator.snapshot() for estimator in estimators]
+
+        # In-place writes (reset) and fresh rows (sync, estimate, coast)
+        # on the batch leave the scalar estimators as they were.
+        batch.reset()
+        batch.sync(np.zeros((LANES, 3)))
+        batch.estimate(np.full((LANES, 3), 100.0))
+        batch.coast()
+        assert [estimator.snapshot() for estimator in estimators] == copied
 
 
 class TestLaneEstimates:

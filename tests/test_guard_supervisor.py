@@ -7,14 +7,18 @@ and the GuardStats bookkeeping (alerts_dropped, health transitions).
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.control.state_machine import RobotState
 from repro.core.detector import AlarmDebouncer, AnomalyDetector
 from repro.core.estimator import NextStateEstimator
 from repro.core.mitigation import MitigationStrategy
 from repro.core.pipeline import (
+    MAX_HEALTH_TRANSITIONS,
     DetectorGuard,
     GuardHealth,
+    GuardStats,
     GuardSupervisor,
     SupervisorConfig,
 )
@@ -176,6 +180,78 @@ class TestGuardStats:
             (5, GuardHealth.COASTING),
             (9, GuardHealth.NOMINAL),
         ]
+
+
+def uncapped_log(calls):
+    """The transition log ``record_health`` would keep without a cap."""
+    log, health = [], GuardHealth.NOMINAL
+    for cycle, new in calls:
+        if new is not health:
+            health = new
+            log.append((cycle, new))
+    return log
+
+
+#: 200 transitions: NOMINAL -> COASTING -> NOMINAL -> ... (one per cycle).
+ALTERNATING = [
+    (cycle, GuardHealth.COASTING if cycle % 2 == 0 else GuardHealth.NOMINAL)
+    for cycle in range(200)
+]
+
+
+class TestTransitionLogCap:
+    """``record_health`` keeps the newest ``MAX_HEALTH_TRANSITIONS``
+    transitions and counts the rest; the uncapped log is the spec."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 10**9), st.sampled_from(list(GuardHealth))),
+            max_size=400,
+        )
+    )
+    @example(ALTERNATING)
+    @example(ALTERNATING[:MAX_HEALTH_TRANSITIONS])
+    @example(ALTERNATING[: MAX_HEALTH_TRANSITIONS + 1])
+    def test_log_is_the_uncapped_logs_tail(self, calls):
+        stats = GuardStats()
+        for cycle, health in calls:
+            stats.record_health(cycle, health)
+        spec = uncapped_log(calls)
+        dropped = max(0, len(spec) - MAX_HEALTH_TRANSITIONS)
+        assert stats.health_transitions == spec[-MAX_HEALTH_TRANSITIONS:]
+        assert stats.transitions_dropped == dropped
+
+        snapshot = stats.snapshot()
+        if dropped:
+            assert snapshot["transitions_dropped"] == dropped
+        else:
+            # Nothing dropped: exactly the keys a pre-cap snapshot had.
+            assert "transitions_dropped" not in snapshot
+            assert set(snapshot) == set(GuardStats().snapshot())
+        restored = GuardStats.from_snapshot(snapshot)
+        assert restored == stats
+        assert restored.snapshot() == snapshot
+        assert restored.summary() == stats.summary()
+
+    def test_from_uncapped_snapshot_keeps_the_newest(self):
+        """A snapshot written before the cap holds the whole log; restored,
+        it equals the stats that recorded the same transitions capped."""
+        uncapped = GuardStats(health=GuardHealth.NOMINAL)
+        uncapped.health_transitions = uncapped_log(ALTERNATING)
+        payload = uncapped.snapshot()
+        assert len(payload["health_transitions"]) == 200
+        assert "transitions_dropped" not in payload
+
+        capped = GuardStats()
+        for cycle, health in ALTERNATING:
+            capped.record_health(cycle, health)
+        restored = GuardStats.from_snapshot(payload)
+        assert restored == capped
+        assert restored.transitions_dropped == 200 - MAX_HEALTH_TRANSITIONS
+        newest = uncapped.health_transitions[-MAX_HEALTH_TRANSITIONS:]
+        assert restored.health_transitions == newest
+        assert restored.snapshot() == capped.snapshot()
 
 
 class GlitchableBank:
