@@ -423,6 +423,30 @@ class BatchedNextStateEstimator:
             estimator._predicted_jvel = None
         estimator.coast_streak = int(self.coast_streak[lane])
 
+    def load_lane_from(self, lane: int, estimator: NextStateEstimator) -> None:
+        """Load a scalar estimator's state into one lane (inverse of
+        :meth:`copy_lane_into`).
+
+        The lane ends as after ``load_lane_state(lane,
+        estimator.snapshot())``, without the hex round trip.  The rows are
+        copied into the lane's own storage, so the two share nothing.  The
+        one difference: a NaN keeps its sign and payload bits, which the
+        hex text cannot spell (``float.hex`` writes every NaN as ``nan``).
+        """
+        jpos = estimator._jpos
+        self._synced[lane] = jpos is not None
+        self._jpos[lane] = 0.0 if jpos is None else jpos
+        self._jvel[lane] = estimator._jvel
+        predicted = estimator._predicted_jpos
+        self._has_prediction[lane] = predicted is not None
+        if predicted is None:
+            self._predicted_jpos[lane] = 0.0
+            self._predicted_jvel[lane] = 0.0
+        else:
+            self._predicted_jpos[lane] = predicted
+            self._predicted_jvel[lane] = estimator._predicted_jvel
+        self.coast_streak[lane] = estimator.coast_streak
+
     def load_lane_state(self, lane: int, state: Dict[str, Any]) -> None:
         """Install a scalar snapshot into one lane (inverse of
         :meth:`lane_state`).

@@ -177,6 +177,18 @@ class GuardStats:
             del self.health_transitions[0]
             self.transitions_dropped += 1
 
+    def alert_events_snapshot(self) -> List[Dict[str, Any]]:
+        """The ``alert_events`` entry of :meth:`snapshot`."""
+        return [
+            {
+                "cycle": event.cycle,
+                "state": event.state.name,
+                "result": _result_to_dict(event.result),
+                "blocked": event.blocked,
+            }
+            for event in self.alert_events
+        ]
+
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of every counter and event log.
 
@@ -197,15 +209,7 @@ class GuardStats:
                 [cycle, HEALTH_VALUE[health]]
                 for cycle, health in self.health_transitions
             ],
-            "alert_events": [
-                {
-                    "cycle": event.cycle,
-                    "state": event.state.name,
-                    "result": _result_to_dict(event.result),
-                    "blocked": event.blocked,
-                }
-                for event in self.alert_events
-            ],
+            "alert_events": self.alert_events_snapshot(),
         }
         if self.transitions_dropped:
             data["transitions_dropped"] = self.transitions_dropped

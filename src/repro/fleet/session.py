@@ -32,16 +32,18 @@ import numpy as np
 from repro.control.state_machine import RobotState
 from repro.core.detector import AnomalyDetector, FusionRule
 from repro.core.dynamic_model import RavenDynamicModel
-from repro.core.estimator import NextStateEstimator
+from repro.core.estimator import NextStateEstimator, hex_vector
 from repro.core.mitigation import MitigationStrategy
 from repro.core.pipeline import (
     HEALTH_VALUE,
     DetectorGuard,
+    GuardHealth,
     GuardSupervisor,
     SupervisorConfig,
 )
 from repro.core.thresholds import SafetyThresholds
 from repro.fleet.config import FleetConfig
+from repro.fleet.store import canonical_payload
 from repro.hw.usb_packet import CommandPacket, command_packet
 
 #: Schema version of fleet session checkpoints.  v2 added
@@ -200,13 +202,40 @@ def decision_record(values: DecisionValues) -> Dict[str, Any]:
     return record
 
 
-#: JSON text of the scalar types the chain formatter writes itself, keyed
-#: by exact type: ``json.dumps``'s own spellings (``ensure_ascii``).
+#: JSON text of the scalar types the chain and checkpoint formatters write
+#: themselves, keyed by exact type: ``json.dumps``'s own spellings
+#: (``ensure_ascii``).
 _JSON_SCALAR = {
     bool: {True: "true", False: "false"}.__getitem__,
     int: int.__repr__,
     str: encode_basestring_ascii,
+    type(None): {None: "null"}.__getitem__,
 }
+
+
+def _json_scalar(value: Any) -> str:
+    """``json.dumps(value)`` for a ``bool``, ``int``, ``str`` or ``None``
+    of exact type; :class:`TypeError` for any other value."""
+    try:
+        return _JSON_SCALAR[type(value)](value)
+    except KeyError:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable"
+        ) from None
+
+
+def _hex_list(hexes: Optional[List[str]]) -> str:
+    """JSON text of a :func:`hex_vector` result (``float.hex`` spellings
+    need no escaping)."""
+    if not hexes:
+        return "null" if hexes is None else "[]"
+    return '["' + '","'.join(hexes) + '"]'
+
+
+def _transition_row(entry: Tuple[int, GuardHealth]) -> str:
+    """JSON text of one ``(cycle, health)`` transition-log entry."""
+    cycle, health = entry
+    return f"[{_json_scalar(cycle)},{_json_scalar(HEALTH_VALUE[health])}]"
 
 
 def _chain_link(prev_hex: str, values: DecisionValues) -> str:
@@ -267,6 +296,12 @@ class FleetSession:
         self.quarantine_reason: Optional[str] = None
         #: ``slow_consumer`` chaos: ticks before which drain() is a no-op.
         self.stalled_until_tick = -1
+        #: The supervisor config's canonical JSON: configuration, written
+        #: into every checkpoint as is.
+        self._config_text = canonical_payload(self.supervisor.config.to_dict())
+        #: Each transition-log entry's JSON text, keyed by the entry, for
+        #: the entries live at the last checkpoint.
+        self._transition_text: Dict[Tuple[int, GuardHealth], str] = {}
 
     @property
     def session_id(self) -> str:
@@ -346,6 +381,10 @@ class FleetSession:
         ``_SessionPack.writeback``); queued-but-unprocessed frames are
         deliberately *not* checkpointed — on resume the feed replays from
         ``frames_processed``.
+
+        This is the specification of a checkpoint; the fleet stores
+        :meth:`checkpoint_text`, which writes ``canonical_payload`` of this
+        payload without building it.
         """
         return {
             "version": SESSION_SNAPSHOT_VERSION,
@@ -360,6 +399,82 @@ class FleetSession:
             "estop_latched": self.board.plc.estop_latched,
             "estop_reason": self.board.plc.estop_reason,
         }
+
+    def checkpoint_text(self, tick: int) -> str:
+        """``canonical_payload(self.snapshot_payload(tick))``, written
+        directly: the same characters, with no payload tree built.
+
+        Keys are written in sorted order, scalars as ``json.dumps`` writes
+        them (:func:`_json_scalar`) and float vectors through
+        :func:`hex_vector`.  The config text is computed once, at
+        construction; the rarely non-empty alert events and debouncer
+        window are ``canonical_payload`` of their own snapshots.  Each
+        transition-log entry is rendered once and reused while it stays in
+        the log.  Same preconditions as :meth:`snapshot_payload`.
+        """
+        j = _json_scalar
+        supervisor = self.supervisor
+        guard = supervisor.guard
+        stats = guard.stats
+        detector = guard.detector
+        debouncer = detector.debouncer
+        estimator = guard.estimator.snapshot()
+        plc = self.board.plc
+
+        log = stats.health_transitions
+        cache = self._transition_text
+        rows = [cache.get(entry) or _transition_row(entry) for entry in log]
+        self._transition_text = dict(zip(log, rows))
+        events = (
+            canonical_payload(stats.alert_events_snapshot())
+            if stats.alert_events
+            else "[]"
+        )
+        dropped = (
+            f',"transitions_dropped":{j(stats.transitions_dropped)}'
+            if stats.transitions_dropped
+            else ""
+        )
+        window = "null" if debouncer is None else canonical_payload(debouncer.snapshot())
+        return (
+            f'{{"decisions":{j(self.decisions)},'
+            f'"digest":{j(self.digest)},'
+            f'"estop_latched":{j(plc.estop_latched)},'
+            f'"estop_reason":{j(plc.estop_reason)},'
+            f'"frames_ingested":{j(self.frames_ingested)},'
+            f'"frames_processed":{j(self.frames_processed)},'
+            f'"frames_rejected":{j(self.frames_rejected)},'
+            f'"session_id":{j(self.session_id)},'
+            f'"supervisor":{{"coast_streak":{j(supervisor._coast_streak)},'
+            f'"config":{self._config_text},'
+            f'"cycle":{j(supervisor._cycle)},'
+            f'"guard":{{"block_streak":{j(guard._block_streak)},'
+            f'"cycle":{j(guard._cycle)},'
+            f'"detector":{{"alerts":{j(detector.alerts)},'
+            f'"debouncer":{window},'
+            f'"evaluations":{j(detector.evaluations)}}},'
+            f'"estimator":{{"coast_streak":{j(estimator["coast_streak"])},'
+            f'"jpos":{_hex_list(estimator["jpos"])},'
+            f'"jvel":{_hex_list(estimator["jvel"])},'
+            f'"predicted_jpos":{_hex_list(estimator["predicted_jpos"])},'
+            f'"predicted_jvel":{_hex_list(estimator["predicted_jvel"])}}},'
+            f'"stats":{{"alert_events":{events},'
+            f'"alerts":{j(stats.alerts)},'
+            f'"alerts_dropped":{j(stats.alerts_dropped)},'
+            f'"blocked":{j(stats.blocked)},'
+            f'"coasted_cycles":{j(stats.coasted_cycles)},'
+            f'"health":{j(HEALTH_VALUE[stats.health])},'
+            f'"health_transitions":[{",".join(rows)}],'
+            f'"implausible_measurements":{j(stats.implausible_measurements)},'
+            f'"packets_evaluated":{j(stats.packets_evaluated)},'
+            f'"packets_seen":{j(stats.packets_seen)},'
+            f'"stale_escalations":{j(stats.stale_escalations)}{dropped}}}}},'
+            f'"last_mpos":{_hex_list(hex_vector(supervisor._last_mpos))},'
+            f'"last_packet_cycle":{j(supervisor._last_packet_cycle)},'
+            f'"version":{j(supervisor.SNAPSHOT_VERSION)}}},'
+            f'"tick":{j(tick)},'
+            f'"version":{j(SESSION_SNAPSHOT_VERSION)}}}'
+        )
 
     def restore_payload(self, payload: Dict[str, Any]) -> None:
         """Resume from a checkpoint payload (inverse of the above)."""
@@ -388,6 +503,7 @@ class FleetSession:
         self.queue.clear()
         self.pending.clear()
         self.recent.clear()
+        self._transition_text.clear()
         # Transient per-run state restarts clean: nothing below survives
         # the process that wrote the checkpoint.
         self.last_frame = None

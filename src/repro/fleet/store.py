@@ -6,7 +6,9 @@ increasing version and a SHA-256 checksum over the canonical JSON bytes.
 Stores keep every version they are given; :meth:`SessionStore.load`
 returns the newest snapshot that *verifies*, walking back through older
 versions when the newest is corrupt — a torn or bit-flipped write costs
-at most one checkpoint interval of progress, never the session.
+at most one checkpoint interval of progress, never the session.  The
+checksum is verified before any JSON is parsed, so a torn row is just
+one more corrupt row.
 
 Two backends share the interface: :class:`InMemorySessionStore` (tests,
 single-process fleets) and :class:`SqliteSessionStore` (crash-durable
@@ -32,7 +34,7 @@ import json
 import sqlite3
 import time
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -64,39 +66,57 @@ class SessionSnapshot:
 
     ``encoded`` is the payload's canonical JSON as stored: the checksum
     covers exactly these characters, and stores write them as they are.
+    ``payload`` is that JSON decoded, parsed on first read.  A snapshot
+    created from checkpoint text parses nothing unless someone reads it,
+    and one a store reads back (constructed from its row, unverified)
+    parses nothing before :meth:`verify` has had the chance to reject
+    torn or corrupted text.
     """
 
     session_id: str
     version: int
-    payload: Dict[str, Any]
     checksum: str
-    encoded: str = field(repr=False, compare=False)
+    encoded: str = field(repr=False)
+    _payload: Optional[Dict[str, Any]] = field(
+        default=None, repr=False, compare=False
+    )
+    #: Set by :meth:`SessionStore.load`: the newest version stored for the
+    #: session, verifiable or not.  After a fallback it is above
+    #: ``version``, and the session's next checkpoint is numbered past it.
+    newest_stored: Optional[int] = field(default=None, repr=False, compare=False)
+
+    @property
+    def payload(self) -> Dict[str, Any]:
+        """The decoded payload (parsed from ``encoded`` on first read)."""
+        if self._payload is None:
+            object.__setattr__(self, "_payload", json.loads(self.encoded))
+        return self._payload
 
     @classmethod
     def create(
-        cls, session_id: str, version: int, payload: Dict[str, Any]
+        cls,
+        session_id: str,
+        version: int,
+        payload: Optional[Dict[str, Any]] = None,
+        *,
+        encoded: Optional[str] = None,
     ) -> "SessionSnapshot":
-        """Build a snapshot, encoding the payload once for its checksum."""
-        encoded = canonical_payload(payload)
+        """Build a snapshot from its payload or its canonical JSON.
+
+        Give exactly one of ``payload`` (encoded once, with
+        :func:`canonical_payload`, for the checksum) and ``encoded``
+        (already canonical text, checksummed as given).
+        """
+        if (payload is None) == (encoded is None):
+            raise TypeError("give exactly one of payload and encoded")
+        if encoded is None:
+            encoded = canonical_payload(payload)
         return cls(
             session_id=session_id,
             version=version,
-            payload=payload,
             checksum=payload_checksum(encoded),
             encoded=encoded,
-        )
-
-    @classmethod
-    def decode(
-        cls, session_id: str, version: int, encoded: str, checksum: str
-    ) -> "SessionSnapshot":
-        """A stored snapshot (unverified) from its encoded payload."""
-        return cls(
-            session_id=session_id,
-            version=version,
-            payload=json.loads(encoded),
-            checksum=checksum,
-            encoded=encoded,
+            _payload=payload,
         )
 
     def verify(self) -> None:
@@ -163,7 +183,7 @@ class SessionStore:
                 snapshot.verify()
             except SnapshotIntegrityError:
                 continue
-            return snapshot
+            return replace(snapshot, newest_stored=max(versions))
         raise SnapshotIntegrityError(
             f"session {session_id!r}: all {len(versions)} stored "
             "snapshot(s) failed checksum verification"
@@ -223,7 +243,7 @@ class InMemorySessionStore(SessionStore):
 
     def load_version(self, session_id: str, version: int) -> SessionSnapshot:
         encoded, checksum = self._rows[session_id][version]
-        return SessionSnapshot.decode(session_id, version, encoded, checksum)
+        return SessionSnapshot(session_id, version, checksum=checksum, encoded=encoded)
 
     def versions(self, session_id: str) -> List[int]:
         return sorted(self._rows.get(session_id, {}))
@@ -299,7 +319,7 @@ class SqliteSessionStore(SessionStore):
             raise SessionStoreError(
                 f"session {session_id!r} has no version {version}"
             )
-        return SessionSnapshot.decode(session_id, version, row[0], row[1])
+        return SessionSnapshot(session_id, version, checksum=row[1], encoded=row[0])
 
     def versions(self, session_id: str) -> List[int]:
         with self._connect() as conn:

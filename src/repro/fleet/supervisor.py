@@ -88,8 +88,8 @@ class _SessionPack:
         )
         self.guards = list(guards)
         # Built pristine from the lanes' models, then loaded lane by lane
-        # from the scalar estimators' snapshots — this is also the resume
-        # path, where estimators already hold checkpointed state (so
+        # from the scalar estimators — this is also the resume path, where
+        # estimators already hold checkpointed state (so
         # ``from_estimators``'s pristine-only constructor cannot be used).
         self.estimator = BatchedNextStateEstimator(
             [g.estimator.model for g in guards],
@@ -97,7 +97,7 @@ class _SessionPack:
             velocity_filter_alpha=guards[0].estimator.alpha,
         )
         for lane, guard in enumerate(guards):
-            self.estimator.load_lane_state(lane, guard.estimator.snapshot())
+            self.estimator.load_lane_from(lane, guard.estimator)
         self._captures: List[List[Tuple[CommandPacket, Optional[np.ndarray]]]] = [
             [] for _ in guards
         ]
@@ -340,7 +340,9 @@ class FleetSupervisor:
             self._admit(session)
             self._quarantine([spec.session_id], "restore failed")
             raise
-        session.checkpoint_version = snapshot.version
+        # Number the next checkpoint past every stored version: after a
+        # fallback the newer, unverifiable rows still hold their versions.
+        session.checkpoint_version = max(snapshot.version, snapshot.newest_stored or 0)
         session.last_checkpoint_tick = snapshot.payload.get("tick")
         self._admit(session)
         return session
@@ -674,7 +676,9 @@ class FleetSupervisor:
         their snapshots, in order).  Several are written in a single
         all-or-none :meth:`SessionStore.save`; each session's
         ``checkpoint_version`` and ``last_checkpoint_tick`` advance only
-        once that write has committed.
+        once that write has committed.  Each snapshot is built from the
+        session's checkpoint text (:meth:`FleetSession.checkpoint_text`),
+        so its ``payload`` is parsed only if a caller reads it.
         """
         single = isinstance(session_ids, str)
         ids = [session_ids] if single else list(session_ids)
@@ -687,7 +691,7 @@ class FleetSupervisor:
                 SessionSnapshot.create(
                     session_id=sid,
                     version=session.checkpoint_version + 1,
-                    payload=session.snapshot_payload(tick),
+                    encoded=session.checkpoint_text(tick),
                 )
             )
         self.store.save(snapshots)

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import sqlite3
 import weakref
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -70,6 +72,38 @@ def payload(sid: str = "s", tick: int = 0) -> dict:
     return {"session_id": sid, "tick": tick, "data": [1.5, -2.25]}
 
 
+def comma_payload(tick: int) -> dict:
+    """A payload whose encoding has a ``,`` where ``corrupt_latest`` flips."""
+    for count in range(16):
+        candidate = {**payload(tick=tick), "zeros": [0] * count}
+        encoded = canonical_payload(candidate)
+        if encoded[len(encoded) // 2] == ",":
+            return candidate
+    raise AssertionError("no padding puts a comma in the middle")
+
+
+def tear_sqlite_rows(store: SqliteSessionStore, versions) -> None:
+    """Truncate stored payloads to half their length (a torn write)."""
+    with closing(sqlite3.connect(store.path)) as conn, conn:
+        conn.executemany(
+            "UPDATE snapshots SET payload = substr(payload, 1, length(payload) / 2)"
+            " WHERE version = ?",
+            [(v,) for v in versions],
+        )
+
+
+class TearingStore(InMemorySessionStore):
+    """``corrupt_latest`` truncates the newest row instead of flipping a byte."""
+
+    def corrupt_latest(self, session_id: str) -> bool:
+        rows = self._rows.get(session_id)
+        if not rows:
+            return False
+        encoded, checksum = rows[max(rows)]
+        rows[max(rows)] = (encoded[: len(encoded) // 2], checksum)
+        return True
+
+
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
     if request.param == "memory":
@@ -112,6 +146,42 @@ class TestSessionStore:
         assert store.corrupt_latest("s")
         with pytest.raises(SnapshotIntegrityError, match="all 1 stored"):
             store.load("s")
+
+    def test_truncated_newest_sqlite_row_falls_back(self, tmp_path):
+        """A torn row fails its checksum before anything parses it."""
+        store = SqliteSessionStore(tmp_path / "fleet.sqlite")
+        store.save(SessionSnapshot.create("s", 1, payload(tick=1)))
+        store.save(SessionSnapshot.create("s", 2, payload(tick=2)))
+        tear_sqlite_rows(store, [2])
+        loaded = store.load("s")
+        assert (loaded.version, loaded.payload["tick"]) == (1, 1)
+
+    def test_flipped_comma_falls_back(self):
+        store = InMemorySessionStore()
+        store.save(SessionSnapshot.create("s", 1, payload(tick=1)))
+        store.save(SessionSnapshot.create("s", 2, comma_payload(tick=2)))
+        assert store.corrupt_latest("s")
+        loaded = store.load("s")
+        assert (loaded.version, loaded.payload["tick"]) == (1, 1)
+
+    def test_all_rows_torn_is_an_integrity_error(self, tmp_path):
+        store = SqliteSessionStore(tmp_path / "fleet.sqlite")
+        store.save(SessionSnapshot.create("s", 1, payload(tick=1)))
+        store.save(SessionSnapshot.create("s", 2, payload(tick=2)))
+        tear_sqlite_rows(store, [1, 2])
+        with pytest.raises(SnapshotIntegrityError, match="all 2 stored"):
+            store.load("s")
+
+    def test_snapshot_from_text_matches_snapshot_from_payload(self):
+        from_dict = SessionSnapshot.create("s", 1, payload())
+        from_text = SessionSnapshot.create("s", 1, encoded=from_dict.encoded)
+        assert from_text == from_dict
+        assert from_text.checksum == from_dict.checksum
+        assert from_text.payload == from_dict.payload
+        with pytest.raises(TypeError, match="exactly one"):
+            SessionSnapshot.create("s", 1, payload(), encoded=from_dict.encoded)
+        with pytest.raises(TypeError, match="exactly one"):
+            SessionSnapshot.create("s", 1)
 
     def test_sessions_and_delete(self, store):
         store.save(SessionSnapshot.create("a", 1, payload("a")))
@@ -389,6 +459,45 @@ class TestCheckpointResume:
         assert chaos.kills
         assert chaos.fingerprints == base.fingerprints
 
+    def test_kill_after_a_torn_checkpoint_resumes_from_older_version(self):
+        """``store_corrupt`` tears the newest row (the tick-18 checkpoint)
+        instead of flipping one byte: the kill still resumes, from the
+        tick-12 checkpoint before it."""
+        cfg = FleetConfig(checkpoint_every=6)
+        base = run_fleet_campaign(num_sessions=2, ticks=40, seed=2, config=cfg)
+        plan = FaultPlan(
+            specs=[
+                FaultSpec(kind="store_corrupt", match="rig-000", index=19),
+                FaultSpec(kind="session_kill", match="rig-000", index=20),
+            ]
+        )
+        chaos = run_fleet_campaign(
+            num_sessions=2,
+            ticks=40,
+            seed=2,
+            config=cfg,
+            store=TearingStore(),
+            injector=ChaosInjector(plan),
+        )
+        assert chaos.kills == [("rig-000", 13)]
+        assert chaos.fingerprints == base.fingerprints
+
+    def test_resume_after_a_fallback_numbers_past_the_torn_row(self, tmp_path):
+        store = SqliteSessionStore(tmp_path / "fleet.sqlite")
+        cfg = FleetConfig(checkpoint_every=1000)
+        fleet = FleetSupervisor(store=store, config=cfg)
+        fleet.register(spec("s"))
+        for tick in range(2):
+            fleet.ingest("s", nominal_frame(tick))
+            fleet.tick(tick)
+        fleet.checkpoint("s", 1)
+        tear_sqlite_rows(store, [2])
+
+        resumed = FleetSupervisor(store=store, config=cfg)
+        session = resumed.resume(spec("s"))
+        assert (session.last_checkpoint_tick, session.checkpoint_version) == (0, 2)
+        assert resumed.checkpoint("s", 1).version == 3
+
     def test_kill_without_any_checkpoint_quarantines(self):
         # checkpoint_every larger than the kill tick: nothing stored yet.
         cfg = FleetConfig(checkpoint_every=500)
@@ -572,6 +681,26 @@ class TestBatchedCheckpoint:
             assert fleet.sessions[sid].checkpoint_version == 2
             assert fleet.sessions[sid].last_checkpoint_tick == 4
             assert backend.load(sid).payload["tick"] == 4
+
+    def test_checkpoint_never_builds_the_payload(self, store, monkeypatch):
+        """Checkpoints store :meth:`FleetSession.checkpoint_text`; the
+        payload dict (the specification) is never built on that path."""
+        fleet = FleetSupervisor(store=store, config=FleetConfig(checkpoint_every=4))
+        for i in range(3):
+            fleet.register(spec(session_id(i)))
+
+        def refuse(self, tick):
+            raise AssertionError("checkpoint built the payload dict")
+
+        monkeypatch.setattr(FleetSession, "snapshot_payload", refuse)
+        reports = self._drive(fleet, 3, range(9))
+        assert [len(r.checkpointed) for r in reports] == [3, 0, 0, 0, 3, 0, 0, 0, 3]
+        fleet.checkpoint(session_id(0), 9)
+        assert fleet.drain(9) == [session_id(i) for i in range(3)]
+        monkeypatch.undo()
+        for sid, session in fleet.sessions.items():
+            stored = store.load(sid)
+            assert stored.encoded == canonical_payload(session.snapshot_payload(9))
 
     def test_explicit_batch_checkpoint_returns_snapshots(self, store):
         fleet = FleetSupervisor(store=store, config=FleetConfig(checkpoint_every=1000))

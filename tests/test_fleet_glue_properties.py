@@ -2,15 +2,17 @@
 
 The fleet tick builds each frame's command packet without the wire
 bytes, writes each decision's chain link with a fixed formatter, screens
-measurements on Python floats and renders checkpoint payloads through
-lookup tables.  Each test keeps the replaced form as the specification
-and requires the same result, the same bytes, or the same exception
-(type and message).  The rules are in docs/architecture.md, "Fleet
-supervisor & session resilience".
+measurements on Python floats, writes each checkpoint's text without
+building its payload, and moves estimator state between scalar
+estimators and pack lanes without a hex round trip.  Each test keeps the
+replaced form as the specification and requires the same result, the
+same bytes, or the same exception (type and message).  The rules are in
+docs/architecture.md, "Fleet supervisor & session resilience".
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control.state_machine import RobotState
-from repro.core.detector import AnomalyDetector, DetectionResult
+from repro.core.detector import AnomalyDetector, DetectionResult, FusionRule
 from repro.core.dynamic_model import RavenDynamicModel
 from repro.core.estimator import BatchedNextStateEstimator, NextStateEstimator, hex_vector
 from repro.core.pipeline import (
@@ -432,6 +434,213 @@ class TestCanonicalPayload:
             canonical_payload(payload)
 
 
+# -- checkpoint text -----------------------------------------------------------------------
+
+#: Strings that need escaping in JSON (quotes, backslashes, controls,
+#: non-ASCII) beside arbitrary text.
+awkward_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(['rig "7"', "back\\slash", "ünïcødé ✓", "tab\tnew\nline", "\x00\x1f", "😀"]),
+)
+vec3 = st.lists(any_floats, min_size=3, max_size=3).map(np.array)
+edge_vec3 = st.one_of(
+    vec3,
+    st.lists(st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 0.5]), min_size=3, max_size=3).map(
+        np.array
+    ),
+)
+counter = st.one_of(st.integers(0, 10**6), st.integers())
+transition_log = st.one_of(st.sampled_from([0, 1, 64, 65, 100]), st.integers(0, 70)).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, 10**9), health), min_size=n, max_size=n)
+)
+window = st.one_of(
+    st.none(), st.integers(1, 5).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n)))
+)
+session_state = st.fixed_dictionaries(
+    {
+        "session_id": awkward_text,
+        "window": window,
+        "window_bits": st.lists(st.booleans(), max_size=6),
+        "fleet": st.lists(counter, min_size=4, max_size=4),
+        "digest": awkward_text,
+        "estop": st.tuples(st.booleans(), st.one_of(st.none(), awkward_text)),
+        "supervisor": st.tuples(counter, counter, st.one_of(st.none(), counter)),
+        "last_mpos": st.one_of(st.none(), edge_vec3),
+        "guard": st.tuples(counter, counter, counter, counter),
+        "synced": st.booleans(),
+        "has_prediction": st.booleans(),
+        "rows": st.lists(edge_vec3, min_size=4, max_size=4),
+        "coast_streak": counter,
+        "stats": st.lists(counter, min_size=8, max_size=8),
+        "health": health,
+        "transitions": transition_log,
+        "events": st.lists(alert_event, max_size=3),
+        "dropped": st.one_of(st.just(0), counter),
+    }
+)
+
+
+def state_session(state) -> FleetSession:
+    """A fresh session holding exactly ``state``."""
+    session = FleetSession(
+        SessionSpec(state["session_id"], THRESHOLDS, decision_window=state["window"]),
+        FleetConfig(),
+    )
+    session.decisions, session.frames_ingested, session.frames_processed, session.frames_rejected = (
+        state["fleet"]
+    )
+    session.digest = state["digest"]
+    session.board.plc.estop_latched, session.board.plc.estop_reason = state["estop"]
+    supervisor = session.supervisor
+    supervisor._cycle, supervisor._coast_streak, supervisor._last_packet_cycle = state["supervisor"]
+    supervisor._last_mpos = state["last_mpos"]
+    guard = supervisor.guard
+    guard._cycle, guard._block_streak, guard.detector.alerts, guard.detector.evaluations = state[
+        "guard"
+    ]
+    if guard.detector.debouncer is not None:
+        for bit in state["window_bits"]:
+            guard.detector.debouncer.update(bit)
+    estimator = guard.estimator
+    jpos, jvel, predicted_jpos, predicted_jvel = state["rows"]
+    estimator._jpos = jpos if state["synced"] else None
+    estimator._jvel = jvel
+    if state["has_prediction"]:
+        estimator._predicted_jpos, estimator._predicted_jvel = predicted_jpos, predicted_jvel
+    estimator.coast_streak = state["coast_streak"]
+    stats = guard.stats
+    (
+        stats.packets_seen,
+        stats.packets_evaluated,
+        stats.alerts,
+        stats.blocked,
+        stats.alerts_dropped,
+        stats.coasted_cycles,
+        stats.implausible_measurements,
+        stats.stale_escalations,
+    ) = state["stats"]
+    stats.health = state["health"]
+    stats.health_transitions = state["transitions"]
+    stats.alert_events = state["events"]
+    stats.transitions_dropped = state["dropped"]
+    return session
+
+
+def spec_text(session: FleetSession, tick) -> str:
+    return canonical_payload(session.snapshot_payload(tick))
+
+
+def assert_text_is_spec(session: FleetSession, tick) -> str:
+    text = session.checkpoint_text(tick)
+    assert text == spec_text(session, tick)
+    # The row cache holds exactly the live log.
+    assert set(session._transition_text) == set(session.supervisor.stats.health_transitions)
+    return text
+
+
+AGED_SPEC = SessionSpec(session_id(0), THRESHOLDS, decision_window=(2, 3))
+
+
+@functools.lru_cache(maxsize=None)
+def aged_checkpoint_text() -> str:
+    """The checkpoint of a session whose transition log is past the cap."""
+    fleet = FleetSupervisor(config=FleetConfig(checkpoint_every=10**6))
+    fleet.register(AGED_SPEC)
+    for tick in range(600):
+        fleet.ingest(AGED_SPEC.session_id, frame_for(0, 0, tick))
+        fleet.tick(tick)
+    assert fleet.sessions[AGED_SPEC.session_id].supervisor.stats.transitions_dropped
+    return fleet.checkpoint(AGED_SPEC.session_id, 7).encoded
+
+
+class TestCheckpointText:
+    """``checkpoint_text`` writes ``canonical_payload(snapshot_payload)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(session_state, st.integers())
+    def test_equals_the_canonical_payload(self, state, tick):
+        assert_text_is_spec(state_session(state), tick)
+
+    @settings(max_examples=50, deadline=None)
+    @given(session_state, st.lists(st.integers(0, 40), min_size=2, max_size=8))
+    def test_consecutive_checkpoints_while_the_log_shifts(self, state, bursts):
+        """The cached rows stay right as entries arrive and fall off."""
+        session = state_session(state)
+        stats = session.supervisor.stats
+        cycle = 0
+        for tick, burst in enumerate(bursts):
+            assert_text_is_spec(session, tick)
+            for _ in range(burst):
+                cycle += 1
+                stats.record_health(cycle, list(GuardHealth)[cycle % len(GuardHealth)])
+            stats.packets_seen += burst
+        assert_text_is_spec(session, len(bursts))
+
+    def test_a_real_session_at_every_checkpoint(self):
+        """Alerts, blocks, a decision window, coasting and a log past the
+        cap, checked against the spec at every cadence checkpoint."""
+        fleet = FleetSupervisor(config=FleetConfig(checkpoint_every=16))
+        tight = SafetyThresholds(
+            motor_velocity=np.array([50.0, 50.0, 50.0]),
+            motor_acceleration=np.array([2000.0, 2000.0, 2000.0]),
+            joint_velocity=np.array([5.0, 5.0, 5.0]),
+        )
+        for i in range(3):
+            fleet.register(
+                SessionSpec(
+                    session_id(i),
+                    tight,
+                    fusion=FusionRule.ANY,
+                    decision_window=(1, 2) if i else None,
+                )
+            )
+        checked = 0
+        for tick in range(700):
+            for i in range(3):
+                frame = frame_for(0, i, tick)
+                if tick % 97 in (5, 6):  # DAC spikes: alerts, blocks
+                    frame = TelemetryFrame(tick, (32000, -32000, 32000), mpos=frame.mpos)
+                fleet.ingest(session_id(i), frame)
+            report = fleet.tick(tick)
+            for sid in report.checkpointed:
+                session = fleet.sessions[sid]
+                assert fleet.store.load(sid).encoded == assert_text_is_spec(session, tick)
+                checked += 1
+        stats = fleet.sessions[session_id(1)].supervisor.stats
+        assert stats.transitions_dropped and stats.alert_events and checked > 100
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 40), min_size=2, max_size=4))
+    def test_after_restore_payload(self, bursts):
+        """A restored session writes the text it was restored from, and
+        renders every row afresh (``restore_payload`` drops the cache)."""
+        text = aged_checkpoint_text()
+        session = FleetSession(AGED_SPEC, FleetConfig())
+        stats = session.supervisor.stats
+        cycle = 10**6
+        for burst in bursts:
+            session.restore_payload(json.loads(text))
+            assert session._transition_text == {}
+            assert assert_text_is_spec(session, 7) == text
+            stats = session.supervisor.stats
+            for _ in range(burst):
+                cycle += 1
+                stats.record_health(cycle, list(GuardHealth)[cycle % len(GuardHealth)])
+            assert_text_is_spec(session, 8)
+
+    @pytest.mark.parametrize(
+        "attribute, value",
+        [("decisions", np.int64(3)), ("frames_rejected", 1.5), ("digest", b"ab")],
+    )
+    def test_values_outside_json_scalars_raise(self, attribute, value):
+        """Types the formatter does not write raise ``TypeError``; of these,
+        ``json.dumps`` itself rejects all but the float."""
+        session = FleetSession(SessionSpec("s", THRESHOLDS), FleetConfig())
+        setattr(session, attribute, value)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            session.checkpoint_text(0)
+
+
 # -- lane writeback ------------------------------------------------------------------------
 
 LANES = 3
@@ -524,6 +733,91 @@ class TestLaneWriteback:
         batch.estimate(np.full((LANES, 3), 100.0))
         batch.coast()
         assert [estimator.snapshot() for estimator in estimators] == copied
+
+
+def fill_estimator(fill) -> NextStateEstimator:
+    """A scalar estimator holding exactly ``fill`` (rows as arrays)."""
+    estimator = NextStateEstimator()
+    estimator._jpos = np.array(fill["jpos"]) if fill["synced"] else None
+    estimator._jvel = np.array(fill["jvel"])
+    if fill["has_prediction"]:
+        estimator._predicted_jpos = np.array(fill["predicted_jpos"])
+        estimator._predicted_jvel = np.array(fill["predicted_jvel"])
+    estimator.coast_streak = fill["coast_streak"]
+    return estimator
+
+
+def lane_bytes(batch, lane, canonical_nan=False):
+    """Every field of one lane, rows as bytes (NaNs made canonical on
+    request: the hex text spells every NaN ``nan``)."""
+    rows = [batch._jpos, batch._jvel, batch._predicted_jpos, batch._predicted_jvel]
+    if canonical_nan:
+        rows = [np.where(np.isnan(r[lane]), math.nan, r[lane]) for r in rows]
+    else:
+        rows = [r[lane] for r in rows]
+    return (
+        bool(batch._synced[lane]),
+        bool(batch._has_prediction[lane]),
+        int(batch.coast_streak[lane]),
+        [r.tobytes() for r in rows],
+    )
+
+
+class TestLaneLoad:
+    """``load_lane_from`` equals the ``load_lane_state(lane,
+    estimator.snapshot())`` it replaced, and shares no rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(lane_fill, min_size=LANES, max_size=LANES),
+        st.lists(lane_fill, min_size=LANES, max_size=LANES),
+    )
+    def test_equals_load_of_the_snapshot(self, stale, fills):
+        direct, spec = filled_batch(stale), filled_batch(stale)
+        for lane, fill in enumerate(fills):
+            estimator = fill_estimator(fill)
+            direct.load_lane_from(lane, estimator)
+            spec.load_lane_state(lane, estimator.snapshot())
+        for lane in range(LANES):
+            assert direct.lane_state(lane) == spec.lane_state(lane)
+            assert lane_bytes(direct, lane, canonical_nan=True) == lane_bytes(
+                spec, lane, canonical_nan=True
+            )
+            assert type(direct.lane_state(lane)["coast_streak"]) is int
+
+    @pytest.mark.parametrize("synced", [False, True])
+    @pytest.mark.parametrize("has_prediction", [False, True])
+    def test_edges_and_no_aliasing(self, synced, has_prediction):
+        jpos, jvel = EDGE_ROWS
+        fill = {
+            "synced": synced,
+            "has_prediction": has_prediction,
+            "jpos": jpos,
+            "jvel": jvel,
+            "predicted_jpos": jvel,
+            "predicted_jvel": jpos,
+            "coast_streak": 3,
+        }
+        stale = {**fill, "synced": not synced, "has_prediction": not has_prediction}
+        direct, spec = filled_batch([stale] * LANES), filled_batch([stale] * LANES)
+        estimators = [fill_estimator(fill) for _ in range(LANES)]
+        for lane, estimator in enumerate(estimators):
+            direct.load_lane_from(lane, estimator)
+            spec.load_lane_state(lane, estimator.snapshot())
+        # -0.0, +-inf and the canonical NaN: the very same bytes.
+        loaded = [lane_bytes(direct, lane) for lane in range(LANES)]
+        assert loaded == [lane_bytes(spec, lane) for lane in range(LANES)]
+
+        # In-place writes on either side leave the other as it was.
+        for estimator in estimators:
+            rows = (estimator._jpos, estimator._jvel, estimator._predicted_jpos, estimator._predicted_jvel)
+            for row in rows:
+                if row is not None:
+                    row[:] = 7.0
+        assert [lane_bytes(direct, lane) for lane in range(LANES)] == loaded
+        states = [estimator.snapshot() for estimator in estimators]
+        direct.reset()
+        assert [estimator.snapshot() for estimator in estimators] == states
 
 
 class TestLaneEstimates:
