@@ -13,10 +13,10 @@ counts and takes hours; ``default`` preserves the shapes in minutes.
 Parallelism: campaign execution and threshold training fan out over
 ``REPRO_JOBS`` worker processes (default ``cpu_count - 1``; ``1`` forces
 serial).  Results are bit-identical to serial runs; see
-``repro.experiments.parallel`` and ``bench_campaign_throughput.py``.
+``repro.experiments.parallel``.
 
-Batching: single-core vectorization over an ``(N_rigs, ...)`` axis is the
-other throughput lever (``repro.sim.batch`` / ``repro.experiments.batch``).
+Batching: single-core vectorization over an ``(N, ...)`` lane axis is the
+other throughput lever (detector replay in ``repro.experiments.batch``).
 The ``batch_sizes`` fixture controls the swept widths
 (``REPRO_BENCH_BATCH``, comma-separated, default ``1,8,32,128``) and
 ``recorded_stream`` provides the canonical command stream the detector

@@ -140,25 +140,16 @@ class AnalysisConfig:
     #: name with the prefix stripped.
     parity_pairs: Tuple[Tuple[str, str], ...] = (
         ("BatchedDynamicModel", "RavenDynamicModel"),
-        ("BatchedPlant", "RavenPlant"),
     )
     #: ``(scalar_method, batched_alternative)``: the scalar method is
     #: mirrored when *any* of its alternatives exists on the batched
-    #: class.  ``lane`` covers per-lane view objects that expose the
-    #: scalar accessors wholesale.
+    #: class.
     parity_aliases: Tuple[Tuple[str, str], ...] = (
         ("snapshot", "lane_state"),
-        ("snapshot", "lane"),
         ("restore", "load_lane_state"),
         ("window", "lane_window"),
         ("jpos", "lane_jpos"),
-        ("jpos", "lane"),
         ("jvel", "lane_jvel"),
-        ("jvel", "lane"),
-        ("currents", "lane"),
-        ("mpos", "lane"),
-        ("mvel", "lane"),
-        ("set_state", "lane"),
     )
     #: Scalar methods that are per-lane configuration/calibration/timing
     #: seams, deliberately not mirrored by the batched kernels.

@@ -279,10 +279,11 @@ class DetectorGuard:
         self._board: Optional[UsbBoard] = None
         self._cycle = 0
         self._block_streak = 0
-        # Batched execution hook (see repro.sim.batch): when set, process()
-        # records the packet with the sink instead of evaluating inline;
-        # the sink later runs the numeric work through the batched
-        # estimator and calls _finish_evaluation() with the results.
+        # Batched execution hook (the fleet supervisor's lane pack, see
+        # repro.fleet.supervisor): when set, process() records the packet
+        # with the sink instead of evaluating inline; the sink later runs
+        # the numeric work through the batched estimator and calls
+        # _finish_evaluation() with the results.
         self._batch_sink = None
         # Forensic stash read by the flight recorder each control cycle:
         # the most recent evaluation, the estimate it was based on, the

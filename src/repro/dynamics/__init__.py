@@ -13,8 +13,9 @@ Public API
 - :class:`ManipulatorDynamics` — 3-DOF link dynamics (M, C, g, friction).
 - :class:`RavenPlant`, :class:`PlantState` — the coupled motor+link plant.
 - :func:`euler_step`, :func:`rk4_step`, :func:`get_integrator` — ODE steppers.
-- :mod:`repro.dynamics.batch` — ``(N_rigs, ...)`` batched evaluation of all
-  of the above, bit-identical per lane to the scalar path.
+- :mod:`repro.dynamics.batch` — ``(N_lanes, ...)`` batched link dynamics
+  and integrators for the batched dynamic model, bit-identical per lane
+  to the scalar path.
 """
 
 from repro.dynamics.integrators import (
@@ -33,17 +34,13 @@ from repro.dynamics.plant import PlantState, RavenPlant
 from repro.dynamics.batch import (
     BATCH_INTEGRATORS,
     BatchedManipulatorDynamics,
-    BatchedPlant,
-    LanePlantView,
     get_batch_integrator,
 )
 
 __all__ = [
     "BATCH_INTEGRATORS",
     "BatchedManipulatorDynamics",
-    "BatchedPlant",
     "INTEGRATORS",
-    "LanePlantView",
     "MAXON_RE30",
     "MAXON_RE40",
     "FrictionModel",

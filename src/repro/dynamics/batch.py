@@ -1,13 +1,15 @@
-"""Batched ``(N_rigs, ...)`` evaluation of the robot dynamics.
+"""Batched ``(N_lanes, ...)`` evaluation of the robot dynamics.
 
-Every kernel in this module evaluates N independent rigs in one numpy
+Every kernel in this module evaluates N independent lanes in one numpy
 call while reproducing the scalar path (:mod:`repro.dynamics.manipulator`,
-:mod:`repro.dynamics.plant`, :mod:`repro.dynamics.integrators`) **bit for
-bit** per lane.  The detector's safety verdicts hash raw float64 bytes
-(:meth:`repro.sim.trace.RunTrace.fingerprint`), so "close" is not good
-enough: a vectorized build that rounds differently could silently change
-an alarm or E-STOP decision.  The equivalence is enforced by
-``tests/test_batch_equivalence.py`` and ``tests/test_batch_properties.py``.
+:mod:`repro.dynamics.integrators` and the plant's DAC conversion) **bit
+for bit** per lane.  Their one caller is
+:class:`repro.core.dynamic_model.BatchedDynamicModel`, the model under
+the fleet supervisor's batched lane pack.  The fleet's decision chains
+hash every verdict, so "close" is not good enough: a vectorized build
+that rounds differently could silently change an alarm or E-STOP
+decision.  The equivalence is enforced by
+``tests/test_batch_properties.py`` and ``tests/test_batch_equivalence.py``.
 
 The bit-identity recipe, validated empirically against this build's BLAS:
 
@@ -35,7 +37,7 @@ section of ``docs/architecture.md``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +50,6 @@ from repro.dynamics.manipulator import (
     GRAVITY,
     ManipulatorDynamics,
 )
-from repro.dynamics.plant import PlantState, RavenPlant
 from repro.errors import DynamicsError, IntegrationError
 from repro.kinematics.spherical_arm import ArmGeometry
 
@@ -292,19 +293,8 @@ def get_batch_integrator(name: str) -> Callable[..., np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Batched motor current response
+# Batched DAC conversion
 # ---------------------------------------------------------------------------
-
-
-def batched_current_response(
-    setpoints: np.ndarray, i0: np.ndarray, elapsed: float, tau_i: np.ndarray
-) -> np.ndarray:
-    """Analytic first-order current-loop response per lane.
-
-    Mirrors the plant's ``sp + (i0 - sp) * exp(-elapsed / tau)``; ``np.exp``
-    is element-invariant across array shapes, so this is exact.
-    """
-    return setpoints + (i0 - setpoints) * np.exp(-elapsed / tau_i)
 
 
 def batched_dac_to_current(dac_values: np.ndarray) -> np.ndarray:
@@ -472,249 +462,3 @@ class BatchedManipulatorDynamics:
         if extra_damping is not None:
             rhs = rhs - batched_matvec(extra_damping, qdot)
         return batched_solve3(m, rhs)
-
-
-# ---------------------------------------------------------------------------
-# Batched plant
-# ---------------------------------------------------------------------------
-
-
-class BatchedPlant:
-    """N lanes of :class:`RavenPlant` advanced by one shared step.
-
-    Built *from* freshly constructed scalar plants: their state vectors
-    are stacked, and from then on :meth:`step` advances every lane at
-    once.  Per-lane brake state (engaged / closing countdown) is handled
-    by integrating every lane and bitwise-restoring the lanes the scalar
-    plant would not have integrated — selection, not recomputation, so
-    held lanes keep their exact bytes.
-
-    Lane time stays in lockstep by construction (every lane advances
-    ``dt`` per step, brakes or not, exactly like the scalar plant).
-    """
-
-    def __init__(self, plants: Sequence[RavenPlant]) -> None:
-        _require(len(plants) > 0, "at least one lane plant is required")
-        require_homogeneous([p.integrator_name for p in plants], "plant integrator")
-        require_homogeneous([p.substeps for p in plants], "plant substeps")
-        require_homogeneous([p.motors for p in plants], "motor parameters")
-        require_homogeneous(
-            [p.transmission.joint_to_motor for p in plants], "transmission matrix"
-        )
-        require_homogeneous([p.brake_delay_s for p in plants], "brake delay")
-        require_homogeneous([p._time for p in plants], "plant time")
-        self.num_lanes = len(plants)
-        self.dynamics = BatchedManipulatorDynamics([p.dynamics for p in plants])
-        self.transmission = plants[0].transmission
-        self._g = self.transmission.joint_to_motor
-        self.substeps = plants[0].substeps
-        self.integrator_name = plants[0].integrator_name
-        self._stepper = get_batch_integrator(self.integrator_name)
-        self.brake_delay_s = plants[0].brake_delay_s
-
-        first = plants[0]
-        self._reflected_inertia = first._reflected_inertia
-        self._reflected_damping = first._reflected_damping
-        self._kt = first._kt
-        self._tau_i = first._tau_i
-        self._i_max = first._i_max
-
-        self._time = first._time
-        self._y = np.stack([p._y for p in plants]).astype(float)
-        self.brakes_engaged = np.array([p.brakes_engaged for p in plants])
-        self._countdown = np.zeros(self.num_lanes)
-        self._counting = np.zeros(self.num_lanes, dtype=bool)
-        for i, p in enumerate(plants):
-            if p._brake_countdown is not None:
-                self._counting[i] = True
-                self._countdown[i] = p._brake_countdown
-
-    # -- per-lane brake control (mirrors RavenPlant) ---------------------------
-
-    def engage_brakes(self, lane: int) -> None:
-        """Start engaging lane ``lane``'s brakes (idempotent while closing)."""
-        if self.brakes_engaged[lane] or self._counting[lane]:
-            return
-        if self.brake_delay_s <= 0.0:
-            self._lock_brakes(lane)
-        else:
-            self._counting[lane] = True
-            self._countdown[lane] = self.brake_delay_s
-
-    def _lock_brakes(self, lane: int) -> None:
-        self.brakes_engaged[lane] = True
-        self._counting[lane] = False
-        self._y[lane, 3:6] = 0.0
-        self._y[lane, 6:9] = 0.0
-
-    def release_brakes(self, lane: int) -> None:
-        """Release lane ``lane``'s brakes."""
-        self.brakes_engaged[lane] = False
-        self._counting[lane] = False
-
-    def brakes_engaging(self, lane: int) -> bool:
-        """Whether an engage request is pending on lane ``lane``."""
-        return bool(self._counting[lane])
-
-    # -- state access ----------------------------------------------------------
-
-    @property
-    def time(self) -> float:
-        """Shared (lockstep) plant time."""
-        return self._time
-
-    def lane_state(self, lane: int) -> PlantState:
-        """Scalar-identical :class:`PlantState` snapshot of one lane."""
-        jpos = self._y[lane, 0:3].copy()
-        jvel = self._y[lane, 3:6].copy()
-        return PlantState(
-            time=self._time,
-            jpos=jpos,
-            jvel=jvel,
-            currents=self._y[lane, 6:9].copy(),
-            mpos=self._g @ jpos,
-            mvel=self._g @ jvel,
-            brakes_engaged=bool(self.brakes_engaged[lane]),
-        )
-
-    def lane(self, lane: int) -> "LanePlantView":
-        """A :class:`RavenPlant`-shaped view of one lane."""
-        return LanePlantView(self, lane)
-
-    # -- simulation ------------------------------------------------------------
-
-    def _derivative(
-        self, setpoints: np.ndarray, i0: np.ndarray, t0: float
-    ) -> BatchDerivative:
-        dynamics = self.dynamics
-        g = self._g
-        kt = self._kt
-        refl_m = self._reflected_inertia
-        refl_b = self._reflected_damping
-        tau_i = self._tau_i
-
-        def f(t: float, y: np.ndarray) -> np.ndarray:
-            cur = batched_current_response(setpoints, i0, t - t0, tau_i)
-            tau_joint = batched_matvec(g.T, kt * cur)
-            qddot = dynamics.acceleration(
-                y[:, 0:3],
-                y[:, 3:6],
-                tau_joint,
-                extra_inertia=refl_m,
-                extra_damping=refl_b,
-            )
-            return np.concatenate([y[:, 3:6], qddot], axis=1)
-
-        return f
-
-    def step(
-        self, dac_values: np.ndarray, dt: float = constants.CONTROL_PERIOD_S
-    ) -> None:
-        """Advance every lane by one control period under ``dac_values``.
-
-        Lanes with engaged brakes only advance time; lanes with closing
-        brakes coast on zero DAC; the rest execute their command — all
-        per-lane decisions are made by ``np.where`` selection so each
-        lane's bytes match a scalar :meth:`RavenPlant.step`.
-        """
-        engaged = self.brakes_engaged.copy()
-        if engaged.all():
-            self._time += dt
-            return
-        dac = np.asarray(dac_values, dtype=float).reshape(self.num_lanes, 3)
-        closing = ~engaged & self._counting
-        coast_or_hold = engaged | closing
-        if coast_or_hold.any():
-            dac = np.where(coast_or_hold[:, None], 0.0, dac)
-        self._countdown[closing] -= dt
-
-        setpoints = np.clip(batched_dac_to_current(dac), -self._i_max, self._i_max)
-        i0 = self._y[:, 6:9].copy()
-        t0 = self._time
-        f = self._derivative(setpoints, i0, t0)
-        h = dt / self.substeps
-        y = self._y[:, 0:6]
-        t = t0
-        for _ in range(self.substeps):
-            y = self._stepper(f, t, y, h)
-            t += h
-        # Brake-engaged lanes were integrated along with the batch for
-        # uniformity; restore their held state bitwise (the scalar plant
-        # never integrates them).
-        self._y[:, 0:6] = np.where(engaged[:, None], self._y[:, 0:6], y)
-        new_currents = batched_current_response(setpoints, i0, dt, self._tau_i)
-        self._y[:, 6:9] = np.where(engaged[:, None], i0, new_currents)
-        self._time = t0 + dt
-
-        expired = np.nonzero(closing & (self._countdown <= 0.0))[0]
-        for lane in expired:
-            self._lock_brakes(int(lane))
-
-
-class LanePlantView:
-    """One lane of a :class:`BatchedPlant`, shaped like a scalar plant.
-
-    Installed in place of a rig's :class:`RavenPlant` so the PLC, motor
-    controller and encoders keep their scalar code paths; only
-    :meth:`RavenPlant.step` is off limits — the batched rig advances all
-    lanes through :meth:`BatchedPlant.step`.
-    """
-
-    def __init__(self, batch: BatchedPlant, lane: int) -> None:
-        self.batch = batch
-        self.lane = lane
-        self.transmission = batch.transmission
-        self.brake_delay_s = batch.brake_delay_s
-
-    @property
-    def jpos(self) -> np.ndarray:
-        return self.batch._y[self.lane, 0:3].copy()
-
-    @property
-    def jvel(self) -> np.ndarray:
-        return self.batch._y[self.lane, 3:6].copy()
-
-    @property
-    def currents(self) -> np.ndarray:
-        return self.batch._y[self.lane, 6:9].copy()
-
-    @property
-    def mpos(self) -> np.ndarray:
-        return self.batch._g @ self.batch._y[self.lane, 0:3]
-
-    @property
-    def mvel(self) -> np.ndarray:
-        return self.batch._g @ self.batch._y[self.lane, 3:6]
-
-    @property
-    def time(self) -> float:
-        return self.batch._time
-
-    @property
-    def brakes_engaged(self) -> bool:
-        return bool(self.batch.brakes_engaged[self.lane])
-
-    @property
-    def brakes_engaging(self) -> bool:
-        return self.batch.brakes_engaging(self.lane)
-
-    def engage_brakes(self) -> None:
-        self.batch.engage_brakes(self.lane)
-
-    def release_brakes(self) -> None:
-        self.batch.release_brakes(self.lane)
-
-    def snapshot(self) -> PlantState:
-        return self.batch.lane_state(self.lane)
-
-    def set_state(self, jpos: np.ndarray, jvel: Optional[np.ndarray] = None) -> None:
-        y = self.batch._y
-        y[self.lane, 0:3] = np.asarray(jpos, dtype=float)
-        y[self.lane, 3:6] = 0.0 if jvel is None else np.asarray(jvel, dtype=float)
-        y[self.lane, 6:9] = 0.0
-
-    def step(self, dac_values: Sequence[float], dt: float = constants.CONTROL_PERIOD_S):
-        raise DynamicsError(
-            "lane plants advance together through BatchedPlant.step(); "
-            "stepping a single lane would break lockstep"
-        )

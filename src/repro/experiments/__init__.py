@@ -17,7 +17,6 @@ are fast.
 """
 
 from repro.experiments.batch import (
-    BatchedCampaignRunner,
     CommandStream,
     ReplayLaneConfig,
     ReplayResult,
@@ -27,7 +26,6 @@ from repro.experiments.batch import (
 from repro.experiments.scale import Scale, current_scale
 
 __all__ = [
-    "BatchedCampaignRunner",
     "CommandStream",
     "ReplayLaneConfig",
     "ReplayResult",

@@ -1,259 +1,48 @@
-"""Batched campaign execution and vectorized detector replay.
+"""Vectorized detector replay: the batched detector oracle.
 
-Two consumers of the ``(N_rigs, ...)`` batch layer:
+:func:`replay_detector_batched` runs the detector pipeline alone
+(estimator sync → one-step model prediction → threshold fusion) over a
+recorded command/measurement stream for N detector configurations in
+one vectorized pass, through :class:`repro.core.BatchedNextStateEstimator`
+and :class:`repro.core.BatchedAnomalyDetector`.  Threshold sweeps and
+model-error sensitivity studies iterate this way: record one stream,
+replay many detector variants against it without re-simulating the
+robot.  :func:`replay_detector_scalar` is the reference loop.
 
-- :class:`BatchedCampaignRunner` — a drop-in sibling of
-  :class:`repro.attacks.campaign.CampaignRunner` that executes every
-  campaign replica (fault-free references, ground-truth attack runs,
-  monitored attack runs, negative-label runs) as lanes of
-  :class:`repro.sim.batch.BatchedSurgicalRig` batches.  Outcomes are
-  **bit-identical** to the serial runner — the batch layer's per-lane
-  equivalence contract — in the same order, so every downstream
-  aggregation (Table IV, Figure 9) is unchanged.
-
-- :func:`replay_detector_batched` — the detector pipeline alone
-  (estimator sync → one-step model prediction → threshold fusion),
-  re-run over a recorded command/measurement stream for N detector
-  configurations in one vectorized pass.  This is how threshold sweeps
-  and model-error sensitivity studies iterate: record one stream, replay
-  hundreds of detector variants against it without re-simulating the
-  robot.  :func:`replay_detector_scalar` is the reference loop the
-  equivalence tests and the throughput benchmark compare against.
+The pair is an independent oracle for the scalar detector:
+``benchmarks/bench_campaign_throughput.py`` compares their alert masks,
+and perfbench's ``guard_inline`` output check compares the inline
+guard's masks with :func:`replay_detector_batched`.  The fleet
+supervisor's lane pack (:mod:`repro.fleet.supervisor`) is the other
+batched path; it shares the estimator but evaluates each lane with its
+scalar detector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import constants
-from repro.attacks.campaign import (
-    PAPER_PERIODS_MS,
-    CampaignCell,
-    CampaignResult,
-    CampaignRunner,
-    IMPACT_DEVIATION_M,
-    RunOutcome,
-)
-from repro.control.state_machine import RobotState
 from repro.core import (
     AnomalyDetector,
     BatchedAnomalyDetector,
     BatchedNextStateEstimator,
     FusionRule,
-    MitigationStrategy,
     NextStateEstimator,
     RavenDynamicModel,
     SafetyThresholds,
 )
-from repro.sim.batch import BatchedSurgicalRig, LaneSpec
-from repro.sim.rig import RigConfig
-from repro.sim.runner import (
-    _finalize,
-    make_detector_guard,
-    scenario_a_lane,
-    scenario_b_lane,
-)
 from repro.sim.trace import RunTrace
 
 __all__ = [
-    "BatchedCampaignRunner",
     "CommandStream",
     "ReplayLaneConfig",
     "ReplayResult",
     "replay_detector_batched",
     "replay_detector_scalar",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Batched campaigns
-# ---------------------------------------------------------------------------
-
-#: One pending batched run: the lane spec plus the attack bookkeeping to
-#: finalize the trace with (None for attack-free lanes).
-_Entry = Tuple[LaneSpec, Optional[object], Optional[object]]
-
-
-class BatchedCampaignRunner(CampaignRunner):
-    """Campaign execution over the batched rig, ``batch_size`` lanes at a time.
-
-    Same grid, same seeds, same replica structure and same outcome order
-    as the serial :class:`CampaignRunner`; independent runs simply share
-    one vectorized plant/model step.  ``run_cell_once`` and
-    ``run_fault_free_once`` remain available (inherited) and agree with
-    the batched results bit for bit.
-    """
-
-    def __init__(
-        self,
-        thresholds: SafetyThresholds,
-        batch_size: int = 32,
-        **kwargs,
-    ) -> None:
-        super().__init__(thresholds, **kwargs)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = batch_size
-
-    # -- execution ----------------------------------------------------------
-
-    def _run_entries(self, entries: Sequence[_Entry]) -> List[RunTrace]:
-        """Run lane specs through batched rigs, ``batch_size`` per batch."""
-        traces: List[RunTrace] = []
-        for start in range(0, len(entries), self.batch_size):
-            chunk = entries[start : start + self.batch_size]
-            batch_traces = BatchedSurgicalRig([spec for spec, _, _ in chunk]).run()
-            for trace, (_, trigger, record) in zip(batch_traces, chunk):
-                if trigger is not None:
-                    _finalize(trace, trigger, record)
-                traces.append(trace)
-        return traces
-
-    def _attack_entry(
-        self,
-        cell: CampaignCell,
-        seed: int,
-        guard,
-        raven_safety_enabled: bool,
-    ) -> _Entry:
-        common = dict(
-            seed=seed,
-            period_ms=cell.period_ms,
-            duration_s=self.duration_s,
-            guard=guard,
-            raven_safety_enabled=raven_safety_enabled,
-            attack_delay_cycles=self.attack_delay_cycles,
-            trajectory_name=self.trajectory_name,
-        )
-        if cell.scenario == "B":
-            return scenario_b_lane(error_dac=int(cell.error_value), **common)
-        return scenario_a_lane(error_mm=float(cell.error_value), **common)
-
-    def _reference_entry(self, seed: int) -> _Entry:
-        config = RigConfig(
-            seed=seed,
-            duration_s=self.duration_s,
-            trajectory_name=self.trajectory_name,
-        )
-        return (LaneSpec(config), None, None)
-
-    def run_campaign(
-        self,
-        scenario: str,
-        error_values: Sequence[float],
-        periods_ms: Sequence[int] = PAPER_PERIODS_MS,
-        repetitions: int = 20,
-        fault_free_runs: int = 0,
-    ) -> CampaignResult:
-        """The serial campaign's exact outcomes, batched ``batch_size`` wide."""
-        cells = self.plan_cells(scenario, error_values, periods_ms)
-        if fault_free_runs <= 0:
-            fault_free_runs = self.default_fault_free_runs(cells, repetitions)
-        seeds = self.repetition_seeds(repetitions)
-
-        # Warm-up: every missing fault-free reference, one batched pass.
-        missing = [s for s in seeds if s not in self._references]
-        for seed, trace in zip(
-            missing, self._run_entries([self._reference_entry(s) for s in missing])
-        ):
-            self._references[seed] = trace.tip_array
-        if missing:
-            self._progress(
-                f"[{scenario}] {len(missing)} reference runs done (batched)"
-            )
-
-        # Both attack replicas of every (cell, seed), plus the negative
-        # runs, interleaved into shared batches.
-        entries: List[_Entry] = []
-        guards = []
-        for cell in cells:
-            for seed in seeds:
-                entries.append(
-                    self._attack_entry(
-                        cell, seed, guard=None, raven_safety_enabled=False
-                    )
-                )
-                guard = make_detector_guard(
-                    self.thresholds, strategy=MitigationStrategy.MONITOR
-                )
-                entries.append(
-                    self._attack_entry(
-                        cell, seed, guard=guard, raven_safety_enabled=True
-                    )
-                )
-                guards.append(guard)
-        ff_seeds = self.fault_free_seeds(fault_free_runs)
-        ff_guards = []
-        for seed in ff_seeds:
-            guard = make_detector_guard(
-                self.thresholds, strategy=MitigationStrategy.MONITOR
-            )
-            config = RigConfig(
-                seed=seed,
-                duration_s=self.duration_s,
-                trajectory_name=self.trajectory_name,
-            )
-            entries.append((LaneSpec(config, guard=guard), None, None))
-            ff_guards.append(guard)
-
-        traces = self._run_entries(entries)
-
-        # Assemble outcomes in the serial runner's order.
-        result = CampaignResult(scenario=scenario)
-        index = 0
-        rep = 0
-        for ci, cell in enumerate(cells):
-            for seed in seeds:
-                raw_trace = traces[index]
-                raw_record = entries[index][2]
-                monitored_trace = traces[index + 1]
-                guard = guards[rep]
-                index += 2
-                rep += 1
-                deviation = raw_trace.max_deviation_from_tip(
-                    self._references[seed]
-                )
-                result.outcomes.append(
-                    RunOutcome(
-                        cell=cell,
-                        seed=seed,
-                        label=deviation > IMPACT_DEVIATION_M,
-                        raven_detected=self.baseline.detected(monitored_trace),
-                        model_detected=guard.stats.alerted,
-                        deviation_mm=deviation * 1e3,
-                        attack_fired=raw_record.fired,
-                    )
-                )
-            self._progress(
-                f"[{scenario}] cell {ci + 1}/{len(cells)} "
-                f"(v={cell.error_value}, d={cell.period_ms}ms) done"
-            )
-        for seed, guard in zip(ff_seeds, ff_guards):
-            trace = traces[index]
-            index += 1
-            result.outcomes.append(
-                RunOutcome(
-                    cell=None,
-                    seed=seed,
-                    label=False,
-                    raven_detected=self.baseline.detected(trace),
-                    model_detected=guard.stats.alerted,
-                    deviation_mm=0.0,
-                    attack_fired=False,
-                )
-            )
-        self._progress(
-            f"[{scenario}] campaign complete: {len(result.outcomes)} runs"
-        )
-        return result
-
-
-# ---------------------------------------------------------------------------
-# Vectorized detector replay
-# ---------------------------------------------------------------------------
 
 
 @dataclass

@@ -4,9 +4,11 @@
 **batched lane pack**: each session's guard keeps its own scalar
 detector, statistics and supervisor state machine, but the numeric core
 (estimator sync/coast, one-step model prediction) runs once per tick
-through a shared :class:`repro.core.BatchedNextStateEstimator` — the same
-batch-sink seam :class:`repro.sim.batch.BatchedSurgicalRig` uses, so a
-lane's bytes are provably independent of who else is packed with it.
+through a shared :class:`repro.core.BatchedNextStateEstimator`, reached
+through the guard's batch-sink seam (``DetectorGuard._batch_sink`` /
+``_finish_evaluation``).  A lane's decisions are byte-identical to its
+guard processing the same frames inline, whoever else is packed with it
+(``tests/test_fleet.py`` checks both).
 
 Fail-operational guarantees:
 
@@ -61,12 +63,13 @@ from repro.obs.runtime import get_runtime
 class _SessionPack:
     """Batch sink multiplexing the sessions' estimators (one lane each).
 
-    The fleet counterpart of ``repro.sim.batch._BatchGuardCoordinator``:
-    identical masked sync/coast/estimate rounds against a
-    :class:`BatchedNextStateEstimator`, minus the DAC latch boards (the
-    fleet reports decisions instead of driving motors).  Per-lane scalar
-    work (detector evaluation, mitigation chain) is isolated: a lane that
-    throws is reported as faulted, never allowed to unwind the pack.
+    Each guard's ``process`` hands its packet to :meth:`capture` instead
+    of evaluating inline; :meth:`finalize` then runs masked
+    sync/coast/estimate rounds against one
+    :class:`BatchedNextStateEstimator` and finishes each lane's decision
+    through its scalar detector and mitigation chain.  That per-lane
+    scalar work is isolated: a lane that throws is reported as faulted,
+    never allowed to unwind the pack.
 
     A round's masks and measurement/DAC rows live in lane-indexed arrays
     the pack allocates once and clears each round; the estimator reads

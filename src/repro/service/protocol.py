@@ -12,8 +12,9 @@ golden in ``tests/test_service.py`` holds the protocol to that.
 Requests carry ``{"v": 1, "id": <seq>, "op": <name>, ...}``; responses
 echo ``id`` and carry ``ok`` plus op-specific fields (or ``error`` when
 ``ok`` is false).  Anything malformed — bad prefix, oversized payload,
-non-JSON bytes, wrong version, missing/mistyped fields — raises
-:class:`~repro.errors.ProtocolError` and never reaches a supervisor.
+non-JSON bytes, nesting past the parser's depth, wrong version,
+missing/mistyped fields — raises :class:`~repro.errors.ProtocolError`
+and never reaches a supervisor.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ def decode_body(body: bytes, max_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> Dict[s
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError(f"message body is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # A thousand nested brackets exhaust the parser's recursion
+        # limit, far under the size cap.
+        raise ProtocolError("message body nests too deeply") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("message must be a JSON object")
     version = payload.get("v")

@@ -14,7 +14,7 @@ the evaluation needs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -257,83 +257,6 @@ def _finalize(trace: RunTrace, trigger: PedalDownTrigger, record: AttackRecord):
     trace.attack_activations = trigger.activations
 
 
-def scenario_b_lane(
-    seed: int,
-    error_dac: int,
-    period_ms: int,
-    duration_s: float = 2.5,
-    guard: Optional[DetectorGuard] = None,
-    raven_safety_enabled: bool = True,
-    attack_delay_cycles: int = DEFAULT_ATTACK_DELAY_CYCLES,
-    channel: int = 0,
-    trajectory_name: str = "circle",
-    **config_kwargs,
-):
-    """Assemble one scenario-B run as a :class:`repro.sim.batch.LaneSpec`.
-
-    Returns ``(spec, trigger, record)``; after the run, pass the trace
-    with the trigger and record through :func:`_finalize`.  Used by both
-    the scalar :func:`run_scenario_b` and the batched campaign runner,
-    so the two construct byte-identical rigs.
-    """
-    from repro.sim.batch import LaneSpec
-
-    trigger = PedalDownTrigger.for_pedal_down(
-        delay_cycles=attack_delay_cycles, duration_cycles=period_ms
-    )
-    payload = DacOffsetInjection(offset_counts=error_dac, channel=channel)
-    library = build_scenario_b_library(trigger, payload)
-    config = RigConfig(
-        seed=seed,
-        duration_s=duration_s,
-        trajectory_name=trajectory_name,
-        raven_safety_enabled=raven_safety_enabled,
-        **config_kwargs,
-    )
-    spec = LaneSpec(config=config, guard=guard, preload_libraries=[library])
-    record = AttackRecord(
-        scenario="B", error_value=error_dac, period_cycles=period_ms
-    )
-    return spec, trigger, record
-
-
-def scenario_a_lane(
-    seed: int,
-    error_mm: float,
-    period_ms: int,
-    duration_s: float = 2.5,
-    guard: Optional[DetectorGuard] = None,
-    raven_safety_enabled: bool = True,
-    attack_delay_cycles: int = DEFAULT_ATTACK_DELAY_CYCLES,
-    trajectory_name: str = "circle",
-    **config_kwargs,
-):
-    """Assemble one scenario-A run as a :class:`repro.sim.batch.LaneSpec`.
-
-    Returns ``(spec, trigger, record)``, like :func:`scenario_b_lane`.
-    """
-    from repro.sim.batch import LaneSpec
-
-    trigger = PedalDownTrigger.for_pedal_down(
-        delay_cycles=attack_delay_cycles, duration_cycles=period_ms
-    )
-    direction_rng = np.random.default_rng(seed + 777)
-    payload = UserInputInjection(error_m=error_mm * 1e-3, rng=direction_rng)
-    library = build_scenario_a_library(trigger, payload)
-    config = RigConfig(
-        seed=seed,
-        duration_s=duration_s,
-        trajectory_name=trajectory_name,
-        raven_safety_enabled=raven_safety_enabled,
-        **config_kwargs,
-    )
-    spec = LaneSpec(config=config, guard=guard, preload_libraries=[library])
-    record = AttackRecord(
-        scenario="A", error_value=error_mm, period_cycles=period_ms
-    )
-    return spec, trigger, record
-
-
 def run_scenario_b(
     seed: int,
     error_dac: int,
@@ -347,19 +270,22 @@ def run_scenario_b(
     **config_kwargs,
 ) -> AttackRunResult:
     """One scenario-B run: DAC offset ``error_dac`` for ``period_ms`` ms."""
-    spec, trigger, record = scenario_b_lane(
-        seed,
-        error_dac,
-        period_ms,
+    trigger = PedalDownTrigger.for_pedal_down(
+        delay_cycles=attack_delay_cycles, duration_cycles=period_ms
+    )
+    payload = DacOffsetInjection(offset_counts=error_dac, channel=channel)
+    library = build_scenario_b_library(trigger, payload)
+    config = RigConfig(
+        seed=seed,
         duration_s=duration_s,
-        guard=guard,
-        raven_safety_enabled=raven_safety_enabled,
-        attack_delay_cycles=attack_delay_cycles,
-        channel=channel,
         trajectory_name=trajectory_name,
+        raven_safety_enabled=raven_safety_enabled,
         **config_kwargs,
     )
-    trace = spec.build().run()
+    record = AttackRecord(
+        scenario="B", error_value=error_dac, period_cycles=period_ms
+    )
+    trace = SurgicalRig(config, preload_libraries=[library], guard=guard).run()
     _finalize(trace, trigger, record)
     return AttackRunResult(trace=trace, record=record, guard=guard)
 
@@ -377,18 +303,23 @@ def run_scenario_a(
 ) -> AttackRunResult:
     """One scenario-A run: ``error_mm`` mm of commanded-position error per
     console packet, sustained for ``period_ms`` ms."""
-    spec, trigger, record = scenario_a_lane(
-        seed,
-        error_mm,
-        period_ms,
+    trigger = PedalDownTrigger.for_pedal_down(
+        delay_cycles=attack_delay_cycles, duration_cycles=period_ms
+    )
+    direction_rng = np.random.default_rng(seed + 777)
+    payload = UserInputInjection(error_m=error_mm * 1e-3, rng=direction_rng)
+    library = build_scenario_a_library(trigger, payload)
+    config = RigConfig(
+        seed=seed,
         duration_s=duration_s,
-        guard=guard,
-        raven_safety_enabled=raven_safety_enabled,
-        attack_delay_cycles=attack_delay_cycles,
         trajectory_name=trajectory_name,
+        raven_safety_enabled=raven_safety_enabled,
         **config_kwargs,
     )
-    trace = spec.build().run()
+    record = AttackRecord(
+        scenario="A", error_value=error_mm, period_cycles=period_ms
+    )
+    trace = SurgicalRig(config, preload_libraries=[library], guard=guard).run()
     _finalize(trace, trigger, record)
     return AttackRunResult(trace=trace, record=record, guard=guard)
 

@@ -21,13 +21,6 @@ injector hook only when a ``REPRO_CHAOS_PLAN`` environment variable or an
 explicit ``injector=`` argument is present.
 """
 
-from repro.testing.differential import (
-    EquivalenceReport,
-    LaneOutcome,
-    LaneRecipe,
-    assert_equivalent,
-    run_differential,
-)
 from repro.testing.faults import (
     CACHE_FAULT_KINDS,
     FLEET_FAULT_KINDS,
@@ -45,13 +38,8 @@ __all__ = [
     "TASK_FAULT_KINDS",
     "ChaosFault",
     "ChaosInjector",
-    "EquivalenceReport",
     "FaultPlan",
     "FaultSpec",
     "GoldenStore",
-    "LaneOutcome",
-    "LaneRecipe",
-    "assert_equivalent",
     "campaign_fingerprint",
-    "run_differential",
 ]

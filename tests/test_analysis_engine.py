@@ -377,7 +377,6 @@ def test_batch_modules_are_in_the_deterministic_scope():
 
     for module in (
         "repro.dynamics.batch",
-        "repro.sim.batch",
         "repro.experiments.batch",
         "repro.core.dynamic_model",
         "repro.core.estimator",

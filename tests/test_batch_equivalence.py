@@ -1,18 +1,19 @@
-"""Differential equivalence: batched execution is bit-identical to scalar.
+"""Batched detector kernels: per-lane equivalence with the scalar path.
 
-The headline guarantee of :mod:`repro.sim.batch`: running N rigs as one
-``(N, ...)`` batch yields, per lane, exactly the ``RunTrace`` the scalar
-``SurgicalRig`` produces from the same seed — same float64 bits, same
-alarm cycles, same blocked packets, same E-STOP reasons.  Every test
-here builds the same lanes twice from fresh stateful objects (via
-:class:`repro.testing.differential.LaneRecipe`), runs one side scalar
-and one side batched, and compares ``RunTrace.fingerprint()`` plus the
-guard counters field by field.
+The fleet supervisor packs every session's estimator into one
+:class:`BatchedNextStateEstimator`; the detector replay oracle
+(:mod:`repro.experiments.batch`) also runs :class:`BatchedAnomalyDetector`.
+Both promise that each lane behaves exactly like its own scalar object.
+These tests pin the per-lane bookkeeping that promise rests on:
 
-Covered regimes: fault-free heterogeneous lanes, scenario A/B attacks
-under MONITOR / BLOCK / BLOCK_AND_ESTOP, physical-fault plans with
-supervisor degraded modes (coasting, glitch screening, model drift), and
-per-lane alarm bookkeeping when multiple lanes alarm in the same cycle.
+- the M-of-N decision window is per lane;
+- removing a lane (fleet quarantine) leaves every survivor's counters,
+  debouncer ring and estimator bytes untouched;
+- ``lane_state`` / ``load_lane_state`` / ``reset`` round-trip with the
+  scalar ``snapshot`` / ``restore`` / ``reset`` surface.
+
+The end-to-end check, the fleet pack against inline guards fed the same
+frames, is in ``tests/test_fleet.py``.
 """
 
 from __future__ import annotations
@@ -25,26 +26,12 @@ from repro.core import (
     BatchedAnomalyDetector,
     BatchedNextStateEstimator,
     BatchedStateEstimate,
-    DetectorGuard,
     FusionRule,
-    GuardSupervisor,
-    MitigationStrategy,
     NextStateEstimator,
     RavenDynamicModel,
     SafetyThresholds,
     StateEstimate,
-    SupervisorConfig,
 )
-from repro.sim.batch import BatchedSurgicalRig, LaneSpec
-from repro.sim.rig import RigConfig
-from repro.sim.runner import make_detector_guard, scenario_a_lane, scenario_b_lane
-from repro.testing.differential import (
-    EquivalenceReport,
-    LaneOutcome,
-    LaneRecipe,
-    assert_equivalent,
-)
-from repro.testing.physfaults import PhysFaultPlan
 
 pytestmark = pytest.mark.batch
 
@@ -58,257 +45,7 @@ def detection_thresholds() -> SafetyThresholds:
     )
 
 
-def monitor_guard(**kwargs):
-    return make_detector_guard(
-        detection_thresholds(),
-        strategy=kwargs.pop("strategy", MitigationStrategy.MONITOR),
-        fusion=kwargs.pop("fusion", FusionRule.ANY),
-        **kwargs,
-    )
-
-
-def debounced_guard(parameter_error, fusion, decision_window):
-    """A guard with an M-of-N decision window (not exposed by the factory)."""
-    model = RavenDynamicModel(integrator="euler", parameter_error=parameter_error)
-    detector = AnomalyDetector(
-        thresholds=detection_thresholds(),
-        fusion=fusion,
-        decision_window=decision_window,
-    )
-    return DetectorGuard(NextStateEstimator(model), detector)
-
-
-class TestFaultFreeEquivalence:
-    def test_mixed_guarded_and_unguarded_lanes(self):
-        """Heterogeneous fault-free lanes: seeds, trajectories, guard kinds."""
-        recipes = [
-            LaneRecipe(
-                "plain-circle",
-                lambda: LaneSpec(
-                    RigConfig(seed=1, duration_s=0.7, trajectory_name="circle")
-                ),
-            ),
-            LaneRecipe(
-                "plain-suturing",
-                lambda: LaneSpec(
-                    RigConfig(seed=2, duration_s=0.7, trajectory_name="suturing")
-                ),
-            ),
-            LaneRecipe(
-                "monitored-figure8",
-                lambda: LaneSpec(
-                    RigConfig(seed=3, duration_s=0.7, trajectory_name="figure8"),
-                    guard=monitor_guard(),
-                ),
-            ),
-            LaneRecipe(
-                "supervised-circle",
-                lambda: LaneSpec(
-                    RigConfig(seed=4, duration_s=0.7, trajectory_name="circle"),
-                    guard=GuardSupervisor(monitor_guard(), SupervisorConfig()),
-                ),
-            ),
-        ]
-        report = assert_equivalent(recipes)
-        # Pedal Down was reached, so the guarded lanes actually evaluated
-        # packets — the equivalence is not vacuous.
-        assert report.batched[2].guard_stats["packets_evaluated"] > 0
-        assert report.batched[3].guard_stats["packets_evaluated"] > 0
-
-    def test_single_lane_batch_is_scalar(self):
-        """N=1 batched run is the scalar run, bit for bit."""
-        recipes = [
-            LaneRecipe(
-                "solo",
-                lambda: LaneSpec(
-                    RigConfig(seed=7, duration_s=0.6, trajectory_name="circle"),
-                    guard=monitor_guard(),
-                ),
-            )
-        ]
-        assert_equivalent(recipes)
-
-    def test_heterogeneous_guard_configurations(self):
-        """Lanes differ in model error, fusion rule and decision window."""
-        recipes = [
-            LaneRecipe(
-                "loose-model",
-                lambda: LaneSpec(
-                    RigConfig(seed=11, duration_s=0.7, trajectory_name="circle"),
-                    guard=make_detector_guard(
-                        detection_thresholds(),
-                        parameter_error=1.10,
-                        fusion=FusionRule.ANY,
-                    ),
-                ),
-            ),
-            LaneRecipe(
-                "majority-debounced",
-                lambda: LaneSpec(
-                    RigConfig(seed=12, duration_s=0.7, trajectory_name="figure8"),
-                    guard=debounced_guard(1.01, FusionRule.MAJORITY, (2, 4)),
-                ),
-            ),
-            LaneRecipe(
-                "late-pedal",
-                lambda: LaneSpec(
-                    RigConfig(
-                        seed=13,
-                        duration_s=0.7,
-                        trajectory_name="circle",
-                        pedal_press_s=0.55,
-                    ),
-                    guard=monitor_guard(),
-                ),
-            ),
-        ]
-        assert_equivalent(recipes)
-
-
-class TestAttackEquivalence:
-    @pytest.mark.slow
-    def test_scenario_b_all_mitigation_strategies(self):
-        """DAC-injection attack under every mitigation posture at once.
-
-        The unguarded lane rides out the attack until the robot's own DAC
-        limit trips; MONITOR alarms without blocking; BLOCK zeroes the
-        corrupted packets; BLOCK_AND_ESTOP escalates to a PLC E-STOP.
-        All four must match the scalar runs exactly.
-        """
-
-        def lane(i, strategy):
-            guard = None if strategy is None else monitor_guard(strategy=strategy)
-            return scenario_b_lane(
-                seed=10 + i,
-                error_dac=12_000,
-                period_ms=300,
-                duration_s=1.0,
-                guard=guard,
-                trajectory_name="circle",
-            )
-
-        recipes = [
-            LaneRecipe("unguarded", lambda: lane(0, None)),
-            LaneRecipe("monitor", lambda: lane(1, MitigationStrategy.MONITOR)),
-            LaneRecipe("block", lambda: lane(2, MitigationStrategy.BLOCK)),
-            LaneRecipe(
-                "block-estop", lambda: lane(3, MitigationStrategy.BLOCK_AND_ESTOP)
-            ),
-        ]
-        report = assert_equivalent(recipes)
-
-        monitor, block, estop = report.batched[1:]
-        assert monitor.guard_stats["alerts"] > 0
-        assert monitor.guard_stats["blocked"] == 0
-        assert block.guard_stats["blocked"] > 0
-        assert any(
-            "detector alert" in reason for _, reason in estop.trace.estop_events
-        ), estop.trace.estop_events
-        # Attack bookkeeping (set by the trigger/record finalization) is
-        # part of the fingerprint and must round-trip through the batch.
-        assert monitor.trace.attack_first_cycle is not None
-
-    @pytest.mark.slow
-    def test_scenario_a_operator_input_attack(self):
-        """Injected operator-input error: alarms and blocks match scalar."""
-
-        def lane(i, strategy):
-            return scenario_a_lane(
-                seed=30 + i,
-                error_mm=2.0,
-                period_ms=300,
-                duration_s=1.0,
-                guard=monitor_guard(strategy=strategy),
-                trajectory_name="suturing",
-            )
-
-        recipes = [
-            LaneRecipe("monitor", lambda: lane(0, MitigationStrategy.MONITOR)),
-            LaneRecipe("block", lambda: lane(1, MitigationStrategy.BLOCK)),
-        ]
-        report = assert_equivalent(recipes)
-        assert report.batched[0].guard_stats["alerts"] > 0
-        assert report.batched[1].guard_stats["blocked"] > 0
-
-
-class TestPhysicalFaultEquivalence:
-    @pytest.mark.slow
-    def test_supervisor_degraded_modes_under_attack(self):
-        """Physical faults + supervisor + attack, one fault class per lane.
-
-        encoder_dropout and encoder_glitch drive the supervisor into
-        model coasting; model_drift exercises the per-lane parameter
-        refresh inside the batched model; packet_loss stresses the
-        packet-stream bookkeeping.  Degraded-mode counters (coasting,
-        implausible measurements, health transitions) must match scalar.
-        """
-        faults = ["encoder_dropout", "encoder_glitch", "packet_loss", "model_drift"]
-
-        def lane(i):
-            supervisor = GuardSupervisor(monitor_guard(), SupervisorConfig())
-            plan = PhysFaultPlan.single(
-                faults[i], intensity=0.5, seed=100 + i, start_s=0.6
-            )
-            return scenario_b_lane(
-                seed=20 + i,
-                error_dac=12_000,
-                period_ms=300,
-                duration_s=1.0,
-                guard=supervisor,
-                trajectory_name="figure8",
-                phys_faults=plan.to_dict(),
-            )
-
-        recipes = [
-            LaneRecipe(faults[i], lambda i=i: lane(i)) for i in range(len(faults))
-        ]
-        report = assert_equivalent(recipes)
-        # The encoder faults actually pushed their lanes into coasting.
-        assert report.batched[0].guard_stats["coasted_cycles"] > 0
-        assert report.batched[1].guard_stats["coasted_cycles"] > 0
-        # The healthy-stream lanes never coasted.
-        assert report.batched[2].guard_stats["coasted_cycles"] == 0
-
-
 class TestPerLaneAlarmBookkeeping:
-    def test_same_cycle_alarms_counted_per_lane(self):
-        """Two lanes alarming in the same cycle are counted separately.
-
-        Both lanes run the same aggressive attack with near-zero
-        thresholds, so their alarms overlap cycle for cycle; each lane's
-        GuardStats must record its own alarms (not a shared counter), and
-        both must match the scalar runs.
-        """
-        tight = SafetyThresholds(
-            motor_velocity=np.array([1e-6, 1e-6, 1e-6]),
-            motor_acceleration=np.array([1e-6, 1e-6, 1e-6]),
-            joint_velocity=np.array([1e-9, 1e-9, 1e-9]),
-        )
-
-        def lane(i):
-            guard = make_detector_guard(
-                tight,
-                strategy=MitigationStrategy.MONITOR,
-                fusion=FusionRule.ANY,
-            )
-            return LaneSpec(
-                RigConfig(seed=40 + i, duration_s=0.6, trajectory_name="circle"),
-                guard=guard,
-            )
-
-        recipes = [LaneRecipe(f"lane{i}", lambda i=i: lane(i)) for i in range(2)]
-        report = assert_equivalent(recipes)
-        a, b = report.batched
-        assert a.guard_stats["alerts"] > 0
-        assert b.guard_stats["alerts"] > 0
-        overlap = set(a.trace.detector_alert_cycles) & set(
-            b.trace.detector_alert_cycles
-        )
-        assert overlap, "expected both lanes to alarm in the same cycles"
-        # Per-lane counters: each lane's total equals its own event log.
-        assert a.guard_stats["alerts"] >= len(overlap)
-        assert b.guard_stats["alerts"] >= len(overlap)
-
     def test_batched_debouncer_is_per_lane(self):
         """BatchedAnomalyDetector keeps one M-of-N window per lane."""
         thresholds = SafetyThresholds(
@@ -611,29 +348,3 @@ class TestLaneCheckpointParity:
         batched.sync(mpos)
         for lane, scalar in enumerate(scalars):
             assert batched.lane_state(lane) == scalar.snapshot()
-
-
-class TestHarness:
-    def test_report_formats_mismatches(self):
-        """The report names the lane and field of every divergence."""
-        outcome_a = LaneOutcome(
-            trace=None,
-            fingerprint={"jpos_sha256": "aaaa", "cycles": 10},
-            guard_stats={"alerts": 3},
-        )
-        outcome_b = LaneOutcome(
-            trace=None,
-            fingerprint={"jpos_sha256": "bbbb", "cycles": 10},
-            guard_stats={"alerts": 5},
-        )
-        report = EquivalenceReport(
-            names=["laneX"], scalar=[outcome_a], batched=[outcome_b]
-        )
-        assert not report.equivalent
-        with pytest.raises(AssertionError) as excinfo:
-            report.assert_equal()
-        message = str(excinfo.value)
-        assert "laneX" in message
-        assert "jpos_sha256" in message
-        assert "guard.alerts" in message
-        assert "cycles" not in message

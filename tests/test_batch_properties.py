@@ -21,7 +21,6 @@ from repro.core.dynamic_model import RavenDynamicModel
 from repro.dynamics.batch import (
     BATCH_INTEGRATORS,
     BatchedManipulatorDynamics,
-    batched_current_response,
     batched_dac_to_current,
     batched_friction_torque,
     stack_friction,
@@ -208,31 +207,6 @@ class TestFrictionAndMotor:
         batched = batched_friction_torque(qdots, viscous, coulomb, smoothing)
         for i, model in enumerate(models):
             assert np.array_equal(batched[i], model.torque(qdots[i]))
-
-    @given(
-        setpoint=st.floats(-6.0, 6.0),
-        i0=st.floats(-6.0, 6.0),
-        elapsed=st.floats(1e-5, 1e-3),
-        lanes=st.integers(1, 8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_current_response_equals_scalar(self, setpoint, i0, elapsed, lanes):
-        """The first-order current-loop response — the motor ODE's closed
-        form — matches the scalar plant's expression per lane/channel."""
-        tau = np.array([2e-4, 2e-4, 3e-4])
-        setpoints = np.stack(
-            [np.array([setpoint, -setpoint, setpoint / 2]) * (1 + 0.1 * i)
-             for i in range(lanes)]
-        )
-        currents = np.stack(
-            [np.array([i0, i0 / 2, -i0]) * (1 - 0.05 * i) for i in range(lanes)]
-        )
-        batched = batched_current_response(setpoints, currents, elapsed, tau)
-        for i in range(lanes):
-            scalar = setpoints[i] + (currents[i] - setpoints[i]) * np.exp(
-                -elapsed / tau
-            )
-            assert np.array_equal(batched[i], scalar)
 
     @given(
         dac=st.tuples(

@@ -26,7 +26,13 @@ import pytest
 
 from repro.core import pipeline
 from repro.core.detector import FusionRule
-from repro.core.pipeline import MAX_HEALTH_TRANSITIONS
+from repro.core.mitigation import MitigationStrategy
+from repro.core.pipeline import (
+    HEALTH_VALUE,
+    MAX_HEALTH_TRANSITIONS,
+    GuardHealth,
+    SupervisorConfig,
+)
 from repro.core.thresholds import SafetyThresholds
 from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
 from repro.experiments.fleet import (
@@ -42,6 +48,7 @@ from repro.fleet import (
     FleetSupervisor,
     InMemorySessionStore,
     RetryingSessionStore,
+    SessionBoard,
     SessionSnapshot,
     SessionSpec,
     SqliteSessionStore,
@@ -417,6 +424,123 @@ class TestQuarantineDifferential:
             assert "forced for the dump test" in text
         finally:
             reset_runtime()
+
+
+class TestPackMatchesInline:
+    """The fleet's deferred path decides exactly like inline guards.
+
+    A packed guard hands each packet to the lane pack, which syncs or
+    coasts, estimates in one batched call, and finishes the decision
+    through ``_finish_evaluation``.  A twin built from the same spec
+    processes the same frames one by one, inline.  Every verdict and
+    the final guard state must be identical.
+    """
+
+    #: The recorded run's frames from just before Pedal Down (cycle 400)
+    #: to its end, so the stream crosses pedal-up frames, the engage
+    #: transient and the attack (active from cycle 501).
+    FIRST_FRAME = 380
+    TICKS = 320
+
+    @staticmethod
+    def attack_frames():
+        from repro.sim.runner import run_scenario_b
+
+        trace = run_scenario_b(
+            seed=5, error_dac=20000, period_ms=64, duration_s=0.7,
+            attack_delay_cycles=100, raven_safety_enabled=False,
+        ).trace
+        return frames_from_trace(trace)
+
+    def test_pack_decisions_equal_inline_supervisors(self):
+        cfg = FleetConfig(queue_depth=8, checkpoint_every=16)
+        # The replayed stream hands the attacked DAC to the model too, so
+        # a tighter envelope than THRESHOLDS keeps the detector firing.
+        tight = SafetyThresholds(
+            motor_velocity=np.array([4.5, 4.5, 2.4]),
+            motor_acceleration=np.array([360.0, 360.0, 270.0]),
+            joint_velocity=np.array([0.15, 0.15, 0.03]),
+        )
+        attack = self.attack_frames()
+        specs = [
+            SessionSpec(session_id="attack", thresholds=tight),
+            SessionSpec(
+                session_id="attack-debounced",
+                thresholds=tight,
+                strategy=MitigationStrategy.MONITOR,
+                decision_window=(2, 3),
+                parameter_error=1.05,
+            ),
+            spec("coasting"),
+            spec(
+                "strict",
+                supervisor=SupervisorConfig(
+                    max_coast_cycles=0, staleness_timeout_cycles=8
+                ),
+            ),
+        ]
+        start = self.FIRST_FRAME
+        # ``coasting`` gets two frames a tick, so the pack also sees a
+        # lane with more than one capture per round.
+        feeds = {
+            "attack": lambda t: [attack[start + t]],
+            "attack-debounced": lambda t: [attack[start + t]],
+            "coasting": lambda t: [frame_for(7, 0, 2 * t), frame_for(7, 0, 2 * t + 1)],
+            "strict": lambda t: [frame_for(7, 1, t)],
+        }
+
+        fleet = FleetSupervisor(config=cfg)
+        twins, boards = {}, {}
+        for session_spec in specs:
+            fleet.register(session_spec)
+            sid = session_spec.session_id
+            twins[sid] = session_spec.build_supervisor(cfg)
+            boards[sid] = SessionBoard()
+            twins[sid].attach(boards[sid])
+
+        for tick in range(self.TICKS):
+            expected = {}
+            for sid, twin in twins.items():
+                twin.tick_cycle(tick)
+                rows = []
+                for frame in feeds[sid](tick):
+                    assert fleet.ingest(sid, frame)
+                    stats = twin.stats
+                    evaluated, alerts = stats.packets_evaluated, stats.alerts
+                    allowed = twin.process(frame.to_packet(), frame.mpos_array())
+                    rows.append(
+                        (
+                            allowed,
+                            stats.packets_evaluated > evaluated,
+                            stats.alerts > alerts,
+                            HEALTH_VALUE[stats.health],
+                        )
+                    )
+                expected[sid] = rows
+            fleet.tick(tick)
+            for sid, rows in expected.items():
+                recent = list(fleet.sessions[sid].recent)[-len(rows):]
+                # (allowed, evaluated, alert, health) of each record.
+                assert [tuple(v[4:]) for v in recent] == rows, (sid, tick)
+
+        fleet.checkpoint(list(twins), self.TICKS)  # writes every lane back
+        for sid, twin in twins.items():
+            session = fleet.sessions[sid]
+            packed = session.supervisor
+            assert packed.stats.summary() == twin.stats.summary(), sid
+            assert packed.guard.estimator.snapshot() == twin.guard.estimator.snapshot()
+            assert packed.snapshot() == twin.snapshot(), sid
+            plc, twin_plc = session.board.plc, boards[sid].plc
+            assert (plc.estop_latched, plc.estop_reason) == (
+                twin_plc.estop_latched,
+                twin_plc.estop_reason,
+            ), sid
+
+        # Not vacuous: the attack alerted, a lane coasted, one escalated.
+        assert twins["attack"].stats.alerts > 0
+        assert twins["attack-debounced"].stats.alerts > 0
+        assert twins["coasting"].stats.coasted_cycles > 0
+        assert twins["strict"].stats.health is GuardHealth.ESTOPPED
 
 
 class TestCheckpointResume:

@@ -24,16 +24,7 @@ from repro.attacks.campaign import CampaignRunner, ParallelCampaignRunner
 from repro.errors import TaskExecutionError
 from repro.experiments.campaigns import get_campaign
 from repro.experiments.scale import Scale
-from repro.sim.batch import BatchedSurgicalRig, LaneSpec
-from repro.sim.rig import RigConfig
-from repro.sim.runner import (
-    _finalize,
-    run_fault_free,
-    run_scenario_a,
-    run_scenario_b,
-    scenario_a_lane,
-    scenario_b_lane,
-)
+from repro.sim.runner import run_fault_free, run_scenario_a, run_scenario_b
 from repro.testing import ChaosInjector, FaultPlan, FaultSpec, campaign_fingerprint
 from repro.testing.faults import ALWAYS
 
@@ -99,46 +90,6 @@ class TestTraceGoldens:
             raven_safety_enabled=False,
         )
         golden.check("trace_scenario_b", result.trace.fingerprint())
-
-
-@pytest.mark.batch
-class TestBatchedGoldens:
-    """Batched execution reproduces the *same* pinned goldens.
-
-    The three canonical single-run traces above run again — this time as
-    three lanes of one :class:`BatchedSurgicalRig` — and must hit the
-    identical recorded fingerprints.  No new golden files: serial,
-    parallel and batched execution all pin to the same bytes.
-    """
-
-    def test_batched_lanes_match_scalar_goldens(self, golden):
-        ff_spec = LaneSpec(
-            RigConfig(seed=3, duration_s=0.7, trajectory_name="circle")
-        )
-        a_spec, a_trig, a_rec = scenario_a_lane(
-            seed=5, error_mm=0.5, period_ms=16, duration_s=0.7,
-            raven_safety_enabled=False,
-        )
-        b_spec, b_trig, b_rec = scenario_b_lane(
-            seed=5, error_dac=26000, period_ms=16, duration_s=0.7,
-            raven_safety_enabled=False,
-        )
-        traces = BatchedSurgicalRig([ff_spec, a_spec, b_spec]).run()
-        _finalize(traces[1], a_trig, a_rec)
-        _finalize(traces[2], b_trig, b_rec)
-        golden.check("trace_fault_free_euler", traces[0].fingerprint())
-        golden.check("trace_scenario_a", traces[1].fingerprint())
-        golden.check("trace_scenario_b", traces[2].fingerprint())
-
-    def test_batched_replay_is_bit_identical(self):
-        def fingerprints():
-            specs = [
-                LaneSpec(RigConfig(seed=3, duration_s=0.7)),
-                LaneSpec(RigConfig(seed=4, duration_s=0.7)),
-            ]
-            return [t.fingerprint() for t in BatchedSurgicalRig(specs).run()]
-
-        assert fingerprints() == fingerprints()
 
 
 @pytest.mark.campaign

@@ -130,6 +130,13 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="JSON object"):
             decode_body(b"[1,2,3]")
 
+    def test_deeply_nested_body_rejected(self):
+        # Far under the size cap, far past the JSON parser's depth.
+        with pytest.raises(ProtocolError, match="nests too deeply"):
+            decode_body(b"[" * 1000)
+        with pytest.raises(ProtocolError, match="nests too deeply"):
+            decode_body(b'{"a":' * 5000)
+
     def test_version_mismatch_rejected(self):
         body = json.dumps({"v": 99, "id": 0, "op": "health"}).encode()
         with pytest.raises(ProtocolError, match="unsupported protocol version"):
@@ -298,6 +305,38 @@ class TestWorkerLoopback:
                 await fresh.close()
 
         asyncio.run(_with_worker(body))
+
+    def test_deeply_nested_body_gets_error_then_hangup(self, loose_thresholds):
+        async def body(worker):
+            client = await ServiceClient("127.0.0.1", worker.port).connect()
+            sid = await client.register(_spec("rig-000", loose_thresholds))
+            await client.ingest(sid, frame_for(_SEED, 0, 0))
+
+            # A hostile peer: a small body nested past the parser's depth.
+            reader, writer = await asyncio.open_connection("127.0.0.1", worker.port)
+            nested = b"[" * 1000
+            writer.write(struct.pack(">I", len(nested)) + nested)
+            await writer.drain()
+            from repro.service.protocol import read_message
+
+            answer = await read_message(reader)
+            assert answer["ok"] is False and answer["kind"] == "ProtocolError"
+            assert "nests too deeply" in answer["error"]
+            assert await reader.read() == b""  # worker hung up on the peer
+            writer.close()
+            await writer.wait_closed()
+
+            # The other connection, and the worker, kept serving.
+            try:
+                ticked = await client.tick(0)
+                assert ticked["report"]["frames_processed"] == 1
+                assert (await client.health())["status"] == "ok"
+            finally:
+                await client.close()
+            return list(worker.faults)
+
+        # A framing breach is answered, not journalled as a worker fault.
+        assert asyncio.run(_with_worker(body)) == []
 
     def test_oversized_announcement_never_allocates(self):
         async def body(worker):
