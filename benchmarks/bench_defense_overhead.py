@@ -9,7 +9,6 @@ Quantifies Section III.D's argument with measurements:
 """
 
 import numpy as np
-import pytest
 
 from repro.attacks.injection import DacOffsetInjection, UserInputInjection
 from repro.control.state_machine import RobotState

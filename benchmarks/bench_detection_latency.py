@@ -12,7 +12,6 @@ control cycles from the first corrupted packet to
 and verifies the ordering, plus the jump size accumulated by each moment.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.report import format_table

@@ -12,7 +12,6 @@ Shapes under test (paper, Section IV.C):
 - small short injections (PID-corrected) cause no impact at all.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.campaigns import get_both_campaigns

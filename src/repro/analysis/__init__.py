@@ -33,14 +33,16 @@ interprocedural families:
     in the CFG.
 ``RPR006``
     State-lifecycle completeness: classes exposing snapshot/restore/
-    reset cover every mutable ``__init__`` attribute (fleet resume
-    bit-identity depends on it).
-``RPR007``
-    Scalar/batched API parity: each ``Batched*`` class mirrors its
-    scalar counterpart's public surface and shared constants.
+    reset, or a batched estimator's lane copies (``copy_lane_into`` /
+    ``load_lane_from``), cover every mutable ``__init__`` attribute
+    (fleet resume bit-identity depends on it).
 ``RPR008``
     Quarantine discipline: lane-path exceptions re-raise or reach a
     quarantine boundary; integrity errors are never swallowed broadly.
+
+No rule makes a ``Batched*`` class mirror its scalar class: the batched
+classes carry only what their callers run, and property tests pin each
+against its scalar class byte for byte.
 
 Run it with ``python -m repro.analysis [--check] [paths...]``; waive a
 single line with ``# repro: allow[RPR00x]``; grandfather accepted debt

@@ -37,8 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "bypass/TOCTOU (RPR001), determinism (RPR002), magic safety "
             "numbers (RPR003), pool picklability (RPR004), and the "
             "whole-program families: safety-path dominance (RPR005), "
-            "lifecycle completeness (RPR006), scalar/batched parity "
-            "(RPR007), quarantine discipline (RPR008)."
+            "lifecycle completeness (RPR006), quarantine discipline "
+            "(RPR008)."
         ),
     )
     parser.add_argument(

@@ -117,50 +117,16 @@ class AnalysisConfig:
     lifecycle_snapshot_methods: Tuple[str, ...] = (
         "snapshot",
         "snapshot_payload",
-        "lane_state",
+        "copy_lane_into",
     )
     lifecycle_restore_methods: Tuple[str, ...] = (
         "restore",
         "restore_payload",
-        "load_lane_state",
+        "load_lane_from",
     )
     #: Attribute-name globs that are wiring, not state (telemetry handles,
     #: board attachments, deferred batch sinks) — never required.
     lifecycle_wiring_attrs: Tuple[str, ...] = ("_obs_*", "_board", "_batch_sink")
-
-    # -- RPR007: scalar/batched API parity ---------------------------------------
-    #: Modules/packages scanned for ``Batched*`` classes.
-    parity_scope: Tuple[str, ...] = (
-        "repro.core",
-        "repro.dynamics",
-        "repro.sim",
-        "repro.experiments",
-    )
-    #: ``Batched*`` classes whose scalar counterpart is not simply the
-    #: name with the prefix stripped.
-    parity_pairs: Tuple[Tuple[str, str], ...] = (
-        ("BatchedDynamicModel", "RavenDynamicModel"),
-    )
-    #: ``(scalar_method, batched_alternative)``: the scalar method is
-    #: mirrored when *any* of its alternatives exists on the batched
-    #: class.
-    parity_aliases: Tuple[Tuple[str, str], ...] = (
-        ("snapshot", "lane_state"),
-        ("restore", "load_lane_state"),
-        ("window", "lane_window"),
-        ("jpos", "lane_jpos"),
-        ("jvel", "lane_jvel"),
-    )
-    #: Scalar methods that are per-lane configuration/calibration/timing
-    #: seams, deliberately not mirrored by the batched kernels.
-    parity_exempt_methods: Tuple[str, ...] = (
-        "calibrate",
-        "thresholds",
-        "apply_parameter_drift",
-        "mean_predict_seconds",
-        "reset_timing",
-        "gravity_compensation",
-    )
 
     # -- RPR008: exception-flow quarantine discipline ----------------------------
     #: Modules/packages where lane-scoped exception handling must reach a
@@ -195,7 +161,6 @@ class AnalysisConfig:
             "RPR004",
             "RPR005",
             "RPR006",
-            "RPR007",
             "RPR008",
         )
     )

@@ -12,7 +12,7 @@ Since the whole-program layer landed, a run has two phases:
    parse, run the local rules (RPR001–RPR004), and distill a summary.
 2. **Project** — stitch all summaries into a
    :class:`~repro.analysis.graph.project.ProjectGraph` and run the
-   interprocedural rules (RPR005–RPR008) over it.  Project findings are
+   interprocedural rules (RPR005, RPR006, RPR008) over it.  Project findings are
    recomputed every run (they depend on *other* files), which is the
    cheap part; parsing is what the cache avoids.
 

@@ -1,7 +1,7 @@
 """Rule registry for the domain-invariant lint engine.
 
 Two tiers: *local* rules (RPR001–RPR004) see one parsed module at a
-time; *project* rules (RPR005–RPR008) run once over the stitched
+time; *project* rules (RPR005, RPR006, RPR008) run once over the stitched
 :class:`~repro.analysis.graph.project.ProjectGraph` after every file has
 a summary.
 """
@@ -16,7 +16,6 @@ from repro.analysis.rules.constants_lint import MagicNumberRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.guard_bypass import GuardBypassRule
 from repro.analysis.rules.lifecycle import LifecycleRule
-from repro.analysis.rules.parity import ParityRule
 from repro.analysis.rules.pool_safety import PoolSafetyRule
 from repro.analysis.rules.quarantine import QuarantineRule
 from repro.analysis.rules.safety_path import SafetyPathRule
@@ -33,7 +32,6 @@ ALL_RULES: List[Type[Rule]] = [
 ALL_PROJECT_RULES: List[Type[ProjectRule]] = [
     SafetyPathRule,
     LifecycleRule,
-    ParityRule,
     QuarantineRule,
 ]
 
@@ -76,6 +74,5 @@ __all__ = [
     "PoolSafetyRule",
     "SafetyPathRule",
     "LifecycleRule",
-    "ParityRule",
     "QuarantineRule",
 ]

@@ -44,7 +44,7 @@ class Rule(abc.ABC):
 
 
 class ProjectRule(abc.ABC):
-    """One whole-program rule family (RPR005..RPR008).
+    """One whole-program rule family (RPR005, RPR006, RPR008).
 
     Project rules run after every file has a summary; they see the
     stitched :class:`~repro.analysis.graph.project.ProjectGraph` instead
@@ -183,13 +183,6 @@ def pool_worker_arg(call: ast.Call) -> Optional[ast.expr]:
     if call.args:
         return call.args[0]
     return None
-
-
-def function_defs(tree: ast.Module) -> Iterator[ast.AST]:
-    """Every (possibly nested) function definition in the module."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def names_in_args(call: ast.Call) -> Set[str]:

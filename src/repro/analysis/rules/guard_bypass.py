@@ -21,7 +21,7 @@ the same discipline at the code level:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.analysis.compat import flatten_statements
 from repro.analysis.config import AnalysisConfig, module_matches

@@ -22,7 +22,7 @@ together, reset checked separately, each only when the class has it.
 from __future__ import annotations
 
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from repro.analysis.config import AnalysisConfig, module_matches
 from repro.analysis.findings import Finding

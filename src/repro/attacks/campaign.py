@@ -34,7 +34,6 @@ from repro.sim.runner import (
     run_scenario_a,
     run_scenario_b,
 )
-from repro.sim.trace import RunTrace
 
 #: Tool-tip deviation from the fault-free reference that counts as an
 #: adverse impact (the paper's 1 mm threshold from expert surgeons).

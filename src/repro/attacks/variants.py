@@ -20,7 +20,6 @@ robot                  encoder feedback         unwanted state (E-STOP)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

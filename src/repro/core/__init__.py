@@ -11,9 +11,14 @@ Public API
 ----------
 - :class:`RavenDynamicModel` — the real-time parallel model.
 - :class:`NextStateEstimator`, :class:`StateEstimate` — one-step prediction.
-- :class:`BatchedDynamicModel`, :class:`BatchedNextStateEstimator`,
-  :class:`BatchedAnomalyDetector` — N-lane vectorized counterparts,
-  bit-identical per lane (see :mod:`repro.dynamics.batch`).
+- :class:`BatchedNextStateEstimator` (over :class:`BatchedDynamicModel`)
+  — N estimator lanes in one vectorized pass, bit-identical per lane to
+  the scalar estimator; the fleet's lane pack runs it.  It carries only
+  what the pack runs: masked sync/coast/estimate, per-lane faults, and
+  lane copies to and from scalar estimators.
+- :class:`BatchedAnomalyDetector` — per-cycle threshold fusion over N
+  lanes, no decision window; only the detector replay oracle
+  (:mod:`repro.experiments.batch`) runs it.
 - :class:`ThresholdLearner`, :class:`SafetyThresholds` — percentile learning.
 - :class:`AnomalyDetector`, :class:`DetectionResult` — alarm fusion.
 - :class:`DetectorGuard`, :class:`MitigationStrategy` — USB-board insertion.
@@ -41,7 +46,6 @@ from repro.core.thresholds import SafetyThresholds, ThresholdLearner
 from repro.core.detector import (
     AlarmDebouncer,
     AnomalyDetector,
-    BatchedAlarmDebouncer,
     BatchedAnomalyDetector,
     BatchedDetectionResult,
     DetectionResult,
@@ -61,7 +65,6 @@ from repro.core.metrics import ConfusionMatrix, classification_report
 __all__ = [
     "AlarmDebouncer",
     "AnomalyDetector",
-    "BatchedAlarmDebouncer",
     "BatchedAnomalyDetector",
     "BatchedDetectionResult",
     "BatchedDynamicModel",

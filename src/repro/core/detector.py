@@ -278,185 +278,39 @@ class AnomalyDetector:
             self.debouncer.restore(window)
 
 
-class BatchedAlarmDebouncer:
-    """Per-lane M-of-N decision windows over batched alarm streams.
-
-    One :class:`AlarmDebouncer` per lane, vectorized: a ``(lanes, n)``
-    integer ring buffer whose running row sums reproduce each lane's
-    ``sum(deque) >= m`` decision exactly (integer arithmetic — no rounding
-    concerns).  Each lane's window advances only on its own updates, so
-    two lanes alarming in the same cycle debounce independently.
-    """
-
-    def __init__(self, m: int, n: int, lanes: int) -> None:
-        if lanes < 1:
-            raise ValueError("lanes must be >= 1")
-        if n < 1:
-            raise ValueError("decision window size n must be >= 1")
-        if not (1 <= m <= n):
-            raise ValueError("decision threshold m must be in [1, n]")
-        self.m = m
-        self.n = n
-        self.lanes = lanes
-        self._ring = np.zeros((lanes, n), dtype=np.int64)
-        self._sums = np.zeros(lanes, dtype=np.int64)
-        self._pos = np.zeros(lanes, dtype=np.int64)
-        self._filled = np.zeros(lanes, dtype=np.int64)
-
-    def update(
-        self, raw_alerts: np.ndarray, mask: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Push one per-cycle alarm per masked lane; return decisions.
-
-        Unmasked lanes keep their window untouched and report their
-        current decision (``sum >= m`` over the existing window).
-        """
-        raw = np.asarray(raw_alerts, dtype=np.int64)
-        if mask is None:
-            mask = np.ones(self.lanes, dtype=bool)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-        idx = np.nonzero(mask)[0]
-        pos = self._pos[idx]
-        evicted = self._ring[idx, pos]
-        self._ring[idx, pos] = raw[idx]
-        self._sums[idx] += raw[idx] - evicted
-        self._pos[idx] = (pos + 1) % self.n
-        self._filled[idx] = np.minimum(self._filled[idx] + 1, self.n)
-        return self._sums >= self.m
-
-    def reset(self) -> None:
-        """Forget every lane's window."""
-        self._ring[:] = 0
-        self._sums[:] = 0
-        self._pos[:] = 0
-        self._filled[:] = 0
-
-    def lane_window(self, lane: int) -> Tuple[bool, ...]:
-        """One lane's window contents, oldest first (like ``window``)."""
-        count = int(self._filled[lane])
-        pos = int(self._pos[lane])
-        if count < self.n:
-            ordered = self._ring[lane, :count]
-        else:
-            ordered = np.concatenate([self._ring[lane, pos:], self._ring[lane, :pos]])
-        return tuple(bool(v) for v in ordered)
-
-    # -- durable state (session checkpoints, see repro.fleet) ----------------------
-
-    def lane_state(self, lane: int) -> Dict[str, Any]:
-        """One lane's window as a scalar :meth:`AlarmDebouncer.snapshot`.
-
-        The payload round-trips with the scalar class in both
-        directions: a lane extracted here restores into a scalar
-        debouncer and vice versa.
-        """
-        return {
-            "m": self.m,
-            "n": self.n,
-            "window": [bool(v) for v in self.lane_window(lane)],
-        }
-
-    def load_lane_state(self, lane: int, state: Dict[str, Any]) -> None:
-        """Load one lane from a scalar snapshot payload (exact inverse).
-
-        Raises
-        ------
-        ValueError
-            When the stored window shape differs from this debouncer's
-            configuration, mirroring :meth:`AlarmDebouncer.restore`.
-        """
-        if int(state["m"]) != self.m or int(state["n"]) != self.n:
-            raise ValueError(
-                f"decision-window mismatch: snapshot ({state['m']}, "
-                f"{state['n']}) vs configured ({self.m}, {self.n})"
-            )
-        window = [int(bool(v)) for v in state["window"]][-self.n :]
-        count = len(window)
-        # Lay the window down oldest-first from slot 0; the next write
-        # position and fill count then reproduce deque(maxlen=n)
-        # append/evict behaviour exactly (see lane_window()).
-        self._ring[lane, :] = 0
-        self._ring[lane, :count] = window
-        self._sums[lane] = sum(window)
-        self._pos[lane] = count % self.n
-        self._filled[lane] = count
-
-    def remove_lanes(self, lanes: Sequence[int]) -> List[int]:
-        """Eject ``lanes``; surviving rows keep their ring slots verbatim.
-
-        Rows (not columns) are deleted, so a surviving lane's ring
-        contents, write position and fill count — and therefore its next
-        M-of-N decisions — are unchanged.  Returns the old indices of the
-        surviving lanes, in order.
-        """
-        keep = np.ones(self.lanes, dtype=bool)
-        keep[list(lanes)] = False
-        if not keep.any():
-            raise ValueError("cannot remove every lane; drop the batch instead")
-        survivors = [i for i in range(self.lanes) if keep[i]]
-        self._ring = self._ring[keep].copy()
-        self._sums = self._sums[keep].copy()
-        self._pos = self._pos[keep].copy()
-        self._filled = self._filled[keep].copy()
-        self.lanes = len(survivors)
-        return survivors
-
-
 class BatchedDetectionResult:
     """Per-lane detection outcomes for one batched evaluation."""
 
-    __slots__ = ("alert", "alarms", "margins", "raw_alert")
+    __slots__ = ("alert", "alarms", "margins")
 
     def __init__(
         self,
         alert: np.ndarray,
         alarms: Dict[str, np.ndarray],
         margins: Dict[str, np.ndarray],
-        raw_alert: np.ndarray,
     ) -> None:
         self.alert = alert
         self.alarms = alarms
         self.margins = margins
-        self.raw_alert = raw_alert
-
-    @property
-    def alarm_count(self) -> np.ndarray:
-        """Per-lane count of alarming variable groups."""
-        counts = np.zeros(self.alert.shape[0], dtype=np.int64)
-        for flags in self.alarms.values():
-            counts += flags
-        return counts
-
-    def lane(self, lane: int) -> DetectionResult:
-        """Scalar :class:`DetectionResult` for one lane."""
-        return DetectionResult(
-            alert=bool(self.alert[lane]),
-            alarms={g: bool(v[lane]) for g, v in self.alarms.items()},
-            margins={g: float(v[lane]) for g, v in self.margins.items()},
-            raw_alert=bool(self.raw_alert[lane]),
-        )
 
 
 class BatchedAnomalyDetector:
     """N detector lanes evaluated in one vectorized pass.
 
-    Thresholds may differ per lane; the fusion rule and decision window
-    shape are shared.  Evaluation and alert counters are **per lane** —
-    two lanes alarming in the same batched cycle each count their own
-    alert (see ``tests/test_batch_equivalence.py``).
+    Thresholds may differ per lane; the fusion rule is shared.  Lanes
+    alert per cycle: there is no decision window.  Evaluation and alert
+    counters are **per lane** — two lanes alarming in the same batched
+    cycle each count their own alert.
     """
 
     def __init__(
         self,
         thresholds: Sequence[SafetyThresholds],
         fusion: FusionRule = FusionRule.ALL,
-        decision_window: Optional[Tuple[int, int]] = None,
     ) -> None:
         if not thresholds:
             raise DetectorError("at least one lane of thresholds is required")
         self.num_lanes = len(thresholds)
-        self.lane_thresholds = tuple(thresholds)
         self._limits = {
             group: np.stack(
                 [np.asarray(getattr(t, group), dtype=float) for t in thresholds]
@@ -464,11 +318,6 @@ class BatchedAnomalyDetector:
             for group in VARIABLE_GROUPS
         }
         self.fusion = fusion
-        self.debouncer = (
-            None
-            if decision_window is None
-            else BatchedAlarmDebouncer(*decision_window, lanes=self.num_lanes)
-        )
         self.evaluations = np.zeros(self.num_lanes, dtype=np.int64)
         self.alerts = np.zeros(self.num_lanes, dtype=np.int64)
 
@@ -476,20 +325,14 @@ class BatchedAnomalyDetector:
     def from_detectors(
         cls, detectors: Sequence["AnomalyDetector"]
     ) -> "BatchedAnomalyDetector":
-        """Build from per-lane scalar detectors (shared fusion/window)."""
+        """Build from per-lane scalar detectors (shared fusion rule, no
+        decision window)."""
         from repro.dynamics.batch import require_homogeneous
 
         require_homogeneous([d.fusion for d in detectors], "fusion rule")
-        windows = [
-            None if d.debouncer is None else (d.debouncer.m, d.debouncer.n)
-            for d in detectors
-        ]
-        require_homogeneous(windows, "decision window")
-        return cls(
-            [d.thresholds for d in detectors],
-            fusion=detectors[0].fusion,
-            decision_window=windows[0],
-        )
+        if any(d.debouncer is not None for d in detectors):
+            raise DetectorError("batched lanes have no decision window")
+        return cls([d.thresholds for d in detectors], fusion=detectors[0].fusion)
 
     def evaluate(
         self,
@@ -513,85 +356,11 @@ class BatchedAnomalyDetector:
             counts += flags
         total = len(VARIABLE_GROUPS)
         if self.fusion is FusionRule.ALL:
-            raw_alert = counts == total
+            alert = counts == total
         elif self.fusion is FusionRule.MAJORITY:
-            raw_alert = counts * 2 > total
+            alert = counts * 2 > total
         else:
-            raw_alert = counts > 0
-        if self.debouncer is None:
-            alert = raw_alert.copy()
-        else:
-            alert = self.debouncer.update(raw_alert, mask)
+            alert = counts > 0
         self.evaluations[mask] += 1
         self.alerts[mask & alert] += 1
-        return BatchedDetectionResult(
-            alert=alert, alarms=alarms, margins=margins, raw_alert=raw_alert
-        )
-
-    def reset_counters(self) -> None:
-        """Zero every lane's counters and decision window."""
-        self.evaluations[:] = 0
-        self.alerts[:] = 0
-        if self.debouncer is not None:
-            self.debouncer.reset()
-
-    # -- durable state (session checkpoints, see repro.fleet) ----------------------
-
-    def lane_state(self, lane: int) -> Dict[str, Any]:
-        """One lane's counters + window as a scalar
-        :meth:`AnomalyDetector.snapshot` payload."""
-        return {
-            "evaluations": int(self.evaluations[lane]),
-            "alerts": int(self.alerts[lane]),
-            "debouncer": (
-                None
-                if self.debouncer is None
-                else self.debouncer.lane_state(lane)
-            ),
-        }
-
-    def load_lane_state(self, lane: int, state: Dict[str, Any]) -> None:
-        """Load one lane from a scalar snapshot payload (exact inverse).
-
-        Raises
-        ------
-        ValueError
-            On decision-window presence mismatch, mirroring
-            :meth:`AnomalyDetector.restore`.
-        """
-        window = state.get("debouncer")
-        if (window is None) != (self.debouncer is None):
-            raise ValueError(
-                "decision-window presence mismatch between snapshot and "
-                "configured detector"
-            )
-        self.evaluations[lane] = int(state["evaluations"])
-        self.alerts[lane] = int(state["alerts"])
-        if self.debouncer is not None:
-            self.debouncer.load_lane_state(lane, window)
-
-    def remove_lanes(self, lanes: Sequence[int]) -> List[int]:
-        """Eject ``lanes`` without disturbing the surviving lanes.
-
-        Per-lane threshold rows, evaluation/alert counters and debouncer
-        ring slots are deleted row-wise, so every surviving lane's
-        counters and window state — and its subsequent decisions — are
-        exactly what they would have been had the ejected lane never been
-        batched (``tests/test_batch_equivalence.py`` pins this).  Returns
-        the old indices of the surviving lanes, in order.
-        """
-        keep = np.ones(self.num_lanes, dtype=bool)
-        keep[list(lanes)] = False
-        if not keep.any():
-            raise ValueError("cannot remove every lane; drop the batch instead")
-        survivors = [i for i in range(self.num_lanes) if keep[i]]
-        self.lane_thresholds = tuple(self.lane_thresholds[i] for i in survivors)
-        self._limits = {
-            group: rows[keep].copy() for group, rows in self._limits.items()
-        }
-        self.evaluations = self.evaluations[keep].copy()
-        self.alerts = self.alerts[keep].copy()
-        if self.debouncer is not None:
-            self.debouncer.remove_lanes(lanes)
-        self.num_lanes = len(survivors)
-        return survivors
+        return BatchedDetectionResult(alert=alert, alarms=alarms, margins=margins)

@@ -22,17 +22,18 @@ mirroring the paper's setup:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro import constants
 from repro.dynamics.friction import FrictionModel
-from repro.dynamics.integrators import get_integrator
+from repro.dynamics.integrators import check_finite, get_integrator, nonfinite_error
 from repro.dynamics.manipulator import ManipulatorDynamics, ManipulatorParameters
 from repro.dynamics.motor import MotorParameters
 from repro.dynamics.plant import DEFAULT_MOTORS
 from repro.dynamics.transmission import Transmission
+from repro.errors import IntegrationError
 from repro.obs.runtime import get_runtime
 from repro.obs.timing import Stopwatch
 
@@ -162,7 +163,8 @@ class RavenDynamicModel:
             )
             return np.concatenate([y[3:6], qddot])
 
-        return self._stepper(f, 0.0, np.concatenate([jpos, jvel]), self.dt)
+        y = self._stepper(f, 0.0, np.concatenate([jpos, jvel]), self.dt)
+        return check_finite(y, self.integrator_name)
 
     def predict(
         self, jpos: np.ndarray, jvel: np.ndarray, dac_values: Sequence[float]
@@ -233,52 +235,43 @@ class RavenDynamicModel:
 
 
 class BatchedModelPrediction:
-    """Next-step states predicted for every lane of a batch."""
+    """Next-step states predicted for every lane of a batch.
 
-    __slots__ = ("jpos", "jvel", "mpos", "mvel", "elapsed_s")
+    ``faults`` maps each lane whose stepped state is non-finite to the
+    :class:`IntegrationError` its scalar model raises for it; the other
+    lanes' rows are unaffected.
+    """
+
+    __slots__ = ("jpos", "jvel", "mvel", "elapsed_s", "faults")
 
     def __init__(
         self,
         jpos: np.ndarray,
         jvel: np.ndarray,
-        mpos: np.ndarray,
         mvel: np.ndarray,
         elapsed_s: float,
+        faults: Dict[int, IntegrationError],
     ) -> None:
         self.jpos = jpos
         self.jvel = jvel
-        self.mpos = mpos
         self.mvel = mvel
         self.elapsed_s = elapsed_s
-
-    def lane(self, lane: int) -> ModelPrediction:
-        """Scalar-shaped prediction for one lane (row copies)."""
-        return ModelPrediction(
-            jpos=self.jpos[lane].copy(),
-            jvel=self.jvel[lane].copy(),
-            mpos=self.mpos[lane].copy(),
-            mvel=self.mvel[lane].copy(),
-            elapsed_s=self.elapsed_s,
-        )
+        self.faults = faults
 
 
 class BatchedDynamicModel:
     """N independent :class:`RavenDynamicModel` lanes stepped in one shot.
 
     Wraps the per-lane scalar models (which stay authoritative for
-    configuration, drift and telemetry) and evaluates their one-step
-    predictions through :mod:`repro.dynamics.batch`, bit-identical to
-    calling each scalar model in a loop.  Lanes may differ in
-    ``parameter_error`` and drift state; integrator and step size must be
-    shared.
+    configuration and drift) and evaluates their one-step predictions
+    through :mod:`repro.dynamics.batch` and the shared steppers,
+    bit-identical to calling each scalar model in a loop.  Lanes may
+    differ in ``parameter_error`` and drift state; integrator and step
+    size must be shared.
     """
 
     def __init__(self, models: Sequence[RavenDynamicModel]) -> None:
-        from repro.dynamics.batch import (
-            BatchedManipulatorDynamics,
-            get_batch_integrator,
-            require_homogeneous,
-        )
+        from repro.dynamics.batch import BatchedManipulatorDynamics, require_homogeneous
 
         if not models:
             raise ValueError("at least one lane model is required")
@@ -299,13 +292,11 @@ class BatchedDynamicModel:
         self._i_max = first._i_max
         self._refl_m = first._refl_m
         self._refl_b = first._refl_b
-        self._stepper = get_batch_integrator(first.integrator_name)
+        self._stepper = first._stepper
         # Per-lane dynamics parameters, refreshed lazily when a lane's
         # scalar model rebuilds its ManipulatorDynamics (parameter drift).
         self.dynamics = BatchedManipulatorDynamics([m.dynamics for m in models])
         self._lane_dynamics = [m.dynamics for m in models]
-        self.predict_calls = 0
-        self.predict_seconds = 0.0
 
     def refresh_parameters(self) -> None:
         """Pick up per-lane parameter drift.
@@ -319,10 +310,11 @@ class BatchedDynamicModel:
                 self.dynamics.refresh_lane(lane, model.dynamics)
                 self._lane_dynamics[lane] = model.dynamics
 
-    def step(
+    def _advance(
         self, jpos: np.ndarray, jvel: np.ndarray, dac_values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate every lane one control period under its DAC row."""
+    ) -> np.ndarray:
+        """Every lane's state ``[jpos, jvel]`` one control period on, as
+        ``(N, 6)`` rows; a row may be non-finite (see :meth:`predict`)."""
         from repro.dynamics.batch import batched_dac_to_current, batched_matvec
 
         setpoints = np.clip(
@@ -342,24 +334,46 @@ class BatchedDynamicModel:
             )
             return np.concatenate([y[:, 3:6], qddot], axis=1)
 
-        y = self._stepper(f, 0.0, np.concatenate([jpos, jvel], axis=1), self.dt)
+        return self._stepper(f, 0.0, np.concatenate([jpos, jvel], axis=1), self.dt)
+
+    def step(
+        self, jpos: np.ndarray, jvel: np.ndarray, dac_values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Integrate every lane one control period under its DAC row.
+
+        Each lane's rows equal its scalar model's :meth:`RavenDynamicModel.step`
+        wherever that returns; the rows are not checked for finiteness.
+        """
+        y = self._advance(jpos, jvel, dac_values)
         return y[:, 0:3], y[:, 3:6]
 
     def predict(
         self, jpos: np.ndarray, jvel: np.ndarray, dac_values: np.ndarray
     ) -> BatchedModelPrediction:
-        """One-step prediction for all lanes with batch-level timing."""
+        """One-step prediction for all lanes with batch-level timing.
+
+        A lane whose stepped state is non-finite is a fault of that lane
+        alone (``faults``), so the caller decides which lanes it raises
+        for.
+        """
         from repro.dynamics.batch import batched_matvec
 
         with Stopwatch() as probe:
-            jpos_next, jvel_next = self.step(jpos, jvel, dac_values)
-        elapsed = probe.elapsed_s
-        self.predict_calls += 1
-        self.predict_seconds += elapsed
+            y = self._advance(jpos, jvel, dac_values)
+        finite = np.isfinite(y).all(axis=1)
+        faults = (
+            {}
+            if finite.all()
+            else {
+                lane: nonfinite_error(y[lane], self.integrator_name)
+                for lane in np.flatnonzero(~finite).tolist()
+            }
+        )
+        jvel_next = y[:, 3:6]
         return BatchedModelPrediction(
-            jpos=jpos_next,
+            jpos=y[:, 0:3],
             jvel=jvel_next,
-            mpos=batched_matvec(self._g, jpos_next),
             mvel=batched_matvec(self._g, jvel_next),
-            elapsed_s=elapsed,
+            elapsed_s=probe.elapsed_s,
+            faults=faults,
         )

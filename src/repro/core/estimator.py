@@ -21,11 +21,8 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import constants
-from repro.core.dynamic_model import (
-    BatchedDynamicModel,
-    BatchedModelPrediction,
-    RavenDynamicModel,
-)
+from repro.core.dynamic_model import BatchedDynamicModel, RavenDynamicModel
+from repro.errors import IntegrationError
 
 
 def hex_vector(values: Optional[np.ndarray]) -> Optional[List[str]]:
@@ -254,8 +251,9 @@ class BatchedStateEstimate:
     """Per-lane instant rates for one batched cycle (``(N, 3)`` arrays).
 
     Only rows whose lane was selected in the ``estimate`` mask are
-    meaningful; :meth:`lane` extracts a scalar-shaped view for the
-    per-lane detector.
+    meaningful.  ``faults`` maps each selected lane whose prediction is
+    non-finite to the :class:`IntegrationError` its scalar estimator
+    raises; such a lane's rows are not an estimate.
     """
 
     __slots__ = (
@@ -265,6 +263,7 @@ class BatchedStateEstimate:
         "jpos_next",
         "jvel_next",
         "elapsed_s",
+        "faults",
     )
 
     def __init__(
@@ -275,6 +274,7 @@ class BatchedStateEstimate:
         jpos_next: np.ndarray,
         jvel_next: np.ndarray,
         elapsed_s: float,
+        faults: Dict[int, IntegrationError],
     ) -> None:
         self.motor_velocity = motor_velocity
         self.motor_acceleration = motor_acceleration
@@ -282,17 +282,7 @@ class BatchedStateEstimate:
         self.jpos_next = jpos_next
         self.jvel_next = jvel_next
         self.elapsed_s = elapsed_s
-
-    def lane(self, lane: int) -> StateEstimate:
-        """Scalar :class:`StateEstimate` for one lane (row copies)."""
-        return StateEstimate(
-            motor_velocity=self.motor_velocity[lane].copy(),
-            motor_acceleration=self.motor_acceleration[lane].copy(),
-            joint_velocity=self.joint_velocity[lane].copy(),
-            jpos_next=self.jpos_next[lane].copy(),
-            jvel_next=self.jvel_next[lane].copy(),
-            elapsed_s=self.elapsed_s,
-        )
+        self.faults = faults
 
 
 class BatchedNextStateEstimator:
@@ -355,63 +345,16 @@ class BatchedNextStateEstimator:
         """Per-lane synced flags (copy)."""
         return self._synced.copy()
 
-    def lane_jpos(self, lane: int) -> Optional[np.ndarray]:
-        """Lane joint-position estimate (None before first sync)."""
-        if not self._synced[lane]:
-            return None
-        return self._jpos[lane].copy()
-
-    def lane_jvel(self, lane: int) -> np.ndarray:
-        """Lane joint-velocity estimate."""
-        return self._jvel[lane].copy()
-
-    def reset(self) -> None:
-        """Forget every lane's state (e.g. across E-STOP).
-
-        Mirrors :meth:`NextStateEstimator.reset` per lane: unsynced
-        lanes hold zeros internally, so zeroing everything and clearing
-        the flags is byte-identical to N scalar resets.
-        """
-        self._jpos[:] = 0.0
-        self._jvel[:] = 0.0
-        self._synced[:] = False
-        self._predicted_jpos[:] = 0.0
-        self._predicted_jvel[:] = 0.0
-        self._has_prediction[:] = False
-        self.coast_streak[:] = 0
-
     # -- per-lane durable state (session checkpoints, see repro.fleet) -------------
-
-    def lane_state(self, lane: int) -> Dict[str, Any]:
-        """One lane's state in :meth:`NextStateEstimator.snapshot` form.
-
-        The payload restores bit-identically into a scalar estimator (or
-        back into a lane via :meth:`load_lane_state`): unsynced lanes map
-        to ``jpos=None`` exactly like a scalar estimator before its first
-        measurement, and prediction rows are only emitted while the lane
-        actually holds one.
-        """
-        synced = bool(self._synced[lane])
-        has_prediction = bool(self._has_prediction[lane])
-        return {
-            "jpos": hex_vector(self._jpos[lane]) if synced else None,
-            "jvel": hex_vector(self._jvel[lane]),
-            "predicted_jpos": (
-                hex_vector(self._predicted_jpos[lane]) if has_prediction else None
-            ),
-            "predicted_jvel": (
-                hex_vector(self._predicted_jvel[lane]) if has_prediction else None
-            ),
-            "coast_streak": int(self.coast_streak[lane]),
-        }
 
     def copy_lane_into(self, lane: int, estimator: NextStateEstimator) -> None:
         """Copy one lane's state into a scalar estimator.
 
-        ``estimator.snapshot()`` then equals :meth:`lane_state`, as after
-        ``estimator.restore(self.lane_state(lane))``, without the hex
-        round trip.  The scalar estimator gets copies of the rows, so
-        later batched steps leave it as it is.
+        The scalar estimator then holds what it would hold had it been
+        fed the lane's sync/coast/estimate sequence itself: an unsynced
+        lane gives ``jpos=None``, and a lane without a stored prediction
+        gives ``None`` predictions.  It gets copies of the rows, so later
+        batched steps leave it as it is.
         """
         estimator._jpos = self._jpos[lane].copy() if self._synced[lane] else None
         estimator._jvel = self._jvel[lane].copy()
@@ -427,11 +370,10 @@ class BatchedNextStateEstimator:
         """Load a scalar estimator's state into one lane (inverse of
         :meth:`copy_lane_into`).
 
-        The lane ends as after ``load_lane_state(lane,
-        estimator.snapshot())``, without the hex round trip.  The rows are
-        copied into the lane's own storage, so the two share nothing.  The
-        one difference: a NaN keeps its sign and payload bits, which the
-        hex text cannot spell (``float.hex`` writes every NaN as ``nan``).
+        This is how a session enters a pack, fresh or resumed from its
+        checkpoint: the pack is built pristine from the sessions' models,
+        then each lane is loaded from its scalar estimator.  The rows are
+        copied into the lane's own storage, so the two share nothing.
         """
         jpos = estimator._jpos
         self._synced[lane] = jpos is not None
@@ -446,29 +388,6 @@ class BatchedNextStateEstimator:
             self._predicted_jpos[lane] = predicted
             self._predicted_jvel[lane] = estimator._predicted_jvel
         self.coast_streak[lane] = estimator.coast_streak
-
-    def load_lane_state(self, lane: int, state: Dict[str, Any]) -> None:
-        """Install a scalar snapshot into one lane (inverse of
-        :meth:`lane_state`).
-
-        This is how a resumed session re-enters a batched pack: the pack
-        is constructed pristine from the session's configured models,
-        then each lane is loaded from its checkpoint.
-        """
-        jpos = unhex_vector(state["jpos"])
-        self._synced[lane] = jpos is not None
-        self._jpos[lane] = 0.0 if jpos is None else jpos
-        jvel = unhex_vector(state["jvel"])
-        self._jvel[lane] = 0.0 if jvel is None else jvel
-        predicted = unhex_vector(state["predicted_jpos"])
-        self._has_prediction[lane] = predicted is not None
-        if predicted is None:
-            self._predicted_jpos[lane] = 0.0
-            self._predicted_jvel[lane] = 0.0
-        else:
-            self._predicted_jpos[lane] = predicted
-            self._predicted_jvel[lane] = unhex_vector(state["predicted_jvel"])
-        self.coast_streak[lane] = int(state["coast_streak"])
 
     def remove_lanes(self, lanes: Sequence[int]) -> List[int]:
         """Eject ``lanes``; surviving rows keep their exact state bytes.
@@ -554,6 +473,9 @@ class BatchedNextStateEstimator:
         The model runs over every lane (unsynced lanes propagate their
         zero placeholder state, whose results are discarded); predictions
         are stored only for masked lanes so coasting lanes keep theirs.
+        A masked lane whose prediction is non-finite stores none and is
+        reported in ``faults``, as its scalar estimator raises before
+        storing; unmasked lanes are never reported.
         """
         from repro.dynamics.batch import batched_matvec
 
@@ -561,6 +483,12 @@ class BatchedNextStateEstimator:
         if np.any(mask & ~self._synced):
             raise RuntimeError("estimator lane not synced: sync() it first")
         prediction = self.model.predict(self._jpos, self._jvel, dac_values)
+        faults = {
+            lane: error for lane, error in prediction.faults.items() if mask[lane]
+        }
+        if faults:
+            mask = mask.copy()
+            mask[list(faults)] = False
         lane_rows = mask[:, None]
         self._predicted_jpos = np.where(lane_rows, prediction.jpos, self._predicted_jpos)
         self._predicted_jvel = np.where(lane_rows, prediction.jvel, self._predicted_jvel)
@@ -573,4 +501,5 @@ class BatchedNextStateEstimator:
             jpos_next=prediction.jpos,
             jvel_next=prediction.jvel,
             elapsed_s=prediction.elapsed_s,
+            faults=faults,
         )

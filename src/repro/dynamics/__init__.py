@@ -13,9 +13,11 @@ Public API
 - :class:`ManipulatorDynamics` — 3-DOF link dynamics (M, C, g, friction).
 - :class:`RavenPlant`, :class:`PlantState` — the coupled motor+link plant.
 - :func:`euler_step`, :func:`rk4_step`, :func:`get_integrator` — ODE steppers.
-- :mod:`repro.dynamics.batch` — ``(N_lanes, ...)`` batched link dynamics
-  and integrators for the batched dynamic model, bit-identical per lane
-  to the scalar path.
+  They are shape-agnostic, so one stepper advances a single state or an
+  ``(N_lanes, state)`` batch; callers check what they keep for finiteness.
+- :class:`BatchedManipulatorDynamics` (:mod:`repro.dynamics.batch`) —
+  ``(N_lanes, ...)`` link dynamics for the batched dynamic model,
+  bit-identical per lane to the scalar path.
 """
 
 from repro.dynamics.integrators import (
@@ -31,14 +33,9 @@ from repro.dynamics.transmission import Transmission
 from repro.dynamics.friction import FrictionModel
 from repro.dynamics.manipulator import ManipulatorDynamics, ManipulatorParameters
 from repro.dynamics.plant import PlantState, RavenPlant
-from repro.dynamics.batch import (
-    BATCH_INTEGRATORS,
-    BatchedManipulatorDynamics,
-    get_batch_integrator,
-)
+from repro.dynamics.batch import BatchedManipulatorDynamics
 
 __all__ = [
-    "BATCH_INTEGRATORS",
     "BatchedManipulatorDynamics",
     "INTEGRATORS",
     "MAXON_RE30",
@@ -51,7 +48,6 @@ __all__ = [
     "RavenPlant",
     "Transmission",
     "euler_step",
-    "get_batch_integrator",
     "get_integrator",
     "heun_step",
     "midpoint_step",

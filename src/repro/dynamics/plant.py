@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import constants
-from repro.dynamics.integrators import Derivative, get_integrator
+from repro.dynamics.integrators import Derivative, check_finite, get_integrator
 from repro.dynamics.manipulator import ManipulatorDynamics
 from repro.dynamics.motor import MAXON_RE30, MAXON_RE40, MotorParameters
 from repro.dynamics.transmission import Transmission
@@ -309,7 +309,7 @@ class RavenPlant:
         y = self._y[0:6]
         t = t0
         for _ in range(self.substeps):
-            y = self._stepper(f, t, y, h)
+            y = check_finite(self._stepper(f, t, y, h), self.integrator_name)
             t += h
         self._y[0:6] = y
         self._mpos = None

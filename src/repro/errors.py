@@ -40,10 +40,6 @@ class ChecksumError(PacketError):
     """Raised when a packet checksum does not match its payload."""
 
 
-class SafetyViolation(ReproError):
-    """Raised by software safety checks when a command exceeds limits."""
-
-
 class StateMachineError(ReproError):
     """Raised on an illegal operational state-machine transition."""
 
@@ -108,11 +104,6 @@ class SessionStoreError(FleetError):
 
 class SnapshotIntegrityError(SessionStoreError):
     """A stored session snapshot failed its checksum or schema validation."""
-
-
-class BackpressureError(FleetError):
-    """An ingest queue rejected a frame because it is full (bounded queues
-    shed load explicitly instead of silently dropping telemetry)."""
 
 
 class ServiceError(ReproError):

@@ -21,7 +21,7 @@ scalar detector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -77,17 +77,12 @@ class ReplayLaneConfig:
     parameter_error: float = 1.03
     integrator: str = "euler"
     fusion: FusionRule = FusionRule.ALL
-    decision_window: Optional[Tuple[int, int]] = None
 
     def build_scalar(self) -> Tuple[NextStateEstimator, AnomalyDetector]:
         model = RavenDynamicModel(
             integrator=self.integrator, parameter_error=self.parameter_error
         )
-        detector = AnomalyDetector(
-            thresholds=self.thresholds,
-            fusion=self.fusion,
-            decision_window=self.decision_window,
-        )
+        detector = AnomalyDetector(thresholds=self.thresholds, fusion=self.fusion)
         return NextStateEstimator(model), detector
 
 
@@ -129,6 +124,9 @@ def replay_detector_batched(
 
     Bit-identical to :func:`replay_detector_scalar` lane by lane (the
     batch layer's contract); per-cycle cost is amortized over N lanes.
+    Raises :class:`~repro.errors.IntegrationError` whenever the scalar
+    loop does: at the first cycle where a lane's prediction goes
+    non-finite, that lane's error.
     """
     pipelines = [lane.build_scalar() for lane in lanes]
     estimator = BatchedNextStateEstimator.from_estimators(
@@ -144,6 +142,8 @@ def replay_detector_batched(
             estimate = estimator.estimate(
                 np.broadcast_to(stream.dac[k], (n, 3)), all_lanes
             )
+            if estimate.faults:
+                raise estimate.faults[min(estimate.faults)]
             alert_mask[:, k] = detector.evaluate(estimate, all_lanes).alert
     return ReplayResult(
         evaluations=detector.evaluations.copy(),

@@ -19,7 +19,6 @@ from repro import constants
 from repro.attacks.analysis import (
     byte_cardinalities,
     byte_value_series,
-    find_watchdog_bit,
     infer_state_byte,
     infer_state_sequence,
 )

@@ -39,7 +39,7 @@ from repro.fleet import (
     SessionStore,
     TelemetryFrame,
 )
-from repro.service.frontend import ServiceFrontend, connect_frontend
+from repro.service.frontend import connect_frontend
 from repro.service.spawn import WorkerProcess, spawn_pool
 
 

@@ -27,7 +27,6 @@ from repro.attacks.variants import (
     build_socket_hijack_library,
     install_math_drift,
 )
-from repro.control.state_machine import RobotState
 from repro.experiments.report import format_table
 from repro.sim.rig import RigConfig, SurgicalRig
 from repro.sim.runner import run_fault_free

@@ -46,7 +46,7 @@ import numpy as np
 from repro.control.state_machine import RobotState
 from repro.core.estimator import BatchedNextStateEstimator, StateEstimate
 from repro.core.pipeline import DetectorGuard
-from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
+from repro.errors import FleetError, SessionStoreError
 from repro.fleet.config import FleetConfig
 from repro.fleet.session import FleetSession, SessionSpec, TelemetryFrame
 from repro.fleet.store import (
@@ -196,6 +196,10 @@ class _SessionPack:
                     continue
                 guard = self.guards[lane]
                 try:
+                    # A non-finite prediction faults its own lane only.
+                    fault = batch.faults.get(lane)
+                    if fault is not None:
+                        raise fault
                     estimate = StateEstimate(
                         motor_velocity=batch.motor_velocity[lane],
                         motor_acceleration=batch.motor_acceleration[lane],

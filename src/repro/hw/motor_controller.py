@@ -10,7 +10,7 @@ pass to the motors".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -30,8 +30,6 @@ import numpy as np
 from repro.errors import InverseKinematicsError
 from repro.kinematics.frames import rot_x, rot_z
 
-_Z_HAT = np.array([0.0, 0.0, 1.0])
-
 
 @dataclass(frozen=True)
 class ArmGeometry:

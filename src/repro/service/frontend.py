@@ -85,9 +85,6 @@ class ServiceFrontend:
 
     # -- placement ---------------------------------------------------------------
 
-    def owner_of(self, session_id: str) -> str:
-        return self.owners[session_id]
-
     async def register(self, spec: SessionSpec) -> str:
         """Place and register one session; returns the owning worker."""
         if spec.session_id in self.specs:

@@ -14,7 +14,7 @@ Pure standard library — the SVG is assembled as text.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 

@@ -71,11 +71,6 @@ class Process:
         except KeyError:
             raise SyscallError(f"bad file descriptor {fd}") from None
 
-    @property
-    def open_fds(self) -> Dict[int, DeviceFile]:
-        """Copy of the descriptor table (diagnostics/tests)."""
-        return dict(self._fds)
-
     # -- symbol table ---------------------------------------------------------
 
     def set_symbol(self, name: str, fn: Callable) -> None:

@@ -166,10 +166,6 @@ class FaultPlan:
         return any(s.kind in TASK_FAULT_KINDS for s in self.specs)
 
     @property
-    def has_cache_faults(self) -> bool:
-        return any(s.kind in CACHE_FAULT_KINDS for s in self.specs)
-
-    @property
     def has_fleet_faults(self) -> bool:
         return any(s.kind in FLEET_FAULT_KINDS for s in self.specs)
 

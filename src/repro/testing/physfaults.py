@@ -79,7 +79,6 @@ DEFAULT_DRIFT_FRACTION = 0.4
 
 #: Stable subsystem ids for the per-cycle RNG keying.
 _SUBSYS_ENCODER = 0
-_SUBSYS_DAC = 1
 _SUBSYS_NETWORK = 2
 
 

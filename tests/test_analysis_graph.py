@@ -1,6 +1,6 @@
 """Tests for the whole-program analysis layer: project graph, CFG
-dominance, the interprocedural rules RPR005–RPR008, the summary cache,
-and ``--diff`` scoping."""
+dominance, the interprocedural rules RPR005, RPR006 and RPR008, the
+summary cache, and ``--diff`` scoping."""
 
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_ROOT = REPO_ROOT / "tests" / "analysis_fixtures"
 
 #: Whole-program config pointed at the fixture packages: badpkg's
-#: ingest/gate/lifecycle/parity/quarantine shapes violate RPR005–RPR008
-#: on purpose, goodpkg's are clean.
+#: ingest/gate/lifecycle/quarantine shapes violate RPR005, RPR006 and
+#: RPR008 on purpose, goodpkg's are clean.
 GRAPH_CONFIG = dataclasses.replace(
     DEFAULT_CONFIG,
     dac_sink_allowed_modules=("tests.analysis_fixtures",),
@@ -37,10 +37,6 @@ GRAPH_CONFIG = dataclasses.replace(
     ),
     lifecycle_scope=(
         "tests.analysis_fixtures.badpkg.lifecycle",
-        "tests.analysis_fixtures.goodpkg",
-    ),
-    parity_scope=(
-        "tests.analysis_fixtures.badpkg.mirrors",
         "tests.analysis_fixtures.goodpkg",
     ),
     quarantine_scope=(
@@ -63,7 +59,7 @@ def rule_lines(findings):
 
 
 # ---------------------------------------------------------------------------
-# RPR005–RPR008 over the fixture packages — exact ids and lines
+# RPR005, RPR006 and RPR008 over the fixture packages — exact ids and lines
 # ---------------------------------------------------------------------------
 
 
@@ -96,20 +92,6 @@ def test_rpr006_lifecycle_fixture():
     assert "'dropped'" in messages[2] and "restore()/snapshot()" in messages[2]
     # depth (derived from a parameter) and _obs_hook (wiring glob) are
     # exempt — no findings on lines 8 or 12.
-
-
-def test_rpr007_mirrors_fixture():
-    result = run_graph("badpkg/mirrors.py")
-    assert rule_lines(result.findings) == [
-        ("RPR007", 22),  # WINDOW constant drift (16 vs 8)
-        ("RPR007", 22),  # missing drain() counterpart
-    ]
-    messages = sorted(f.message for f in result.findings)
-    assert "constant 'WINDOW' drifted" in messages[0]
-    assert "(16)" in messages[0] and "(8)" in messages[0]
-    assert "lacks a counterpart for scalar method" in messages[1]
-    assert "Sampler.drain" in messages[1]
-    # sample() matches by name and snapshot() via the lane_state alias.
 
 
 def test_rpr008_quarantine_fixture():

@@ -8,7 +8,6 @@ output* and show it corrupts the physical system mid-surgery — and that
 the dynamic-model detector catches it preemptively.
 """
 
-import numpy as np
 import pytest
 
 from repro import constants

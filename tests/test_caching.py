@@ -3,7 +3,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from repro.attacks.campaign import CampaignCell, CampaignResult, RunOutcome
 from repro.core.thresholds import SafetyThresholds

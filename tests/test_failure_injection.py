@@ -9,10 +9,8 @@ backdrop the detectors must not false-alarm against.
 """
 
 import numpy as np
-import pytest
 
 from repro import constants
-from repro.control.controller import INIT_CYCLES
 from repro.control.state_machine import RobotState
 from repro.sim.rig import RigConfig, SurgicalRig
 from repro.sim.runner import run_fault_free

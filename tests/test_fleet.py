@@ -34,7 +34,12 @@ from repro.core.pipeline import (
     SupervisorConfig,
 )
 from repro.core.thresholds import SafetyThresholds
-from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
+from repro.errors import (
+    FleetError,
+    IntegrationError,
+    SessionStoreError,
+    SnapshotIntegrityError,
+)
 from repro.experiments.fleet import (
     DROPOUT_EVERY,
     frame_for,
@@ -407,6 +412,59 @@ class TestQuarantineDifferential:
         fps = fleet.fingerprints()
         assert fps[session_id(0)] == base.fingerprints[session_id(0)]
         assert fps[session_id(2)] == base.fingerprints[session_id(2)]
+
+    def test_nonfinite_prediction_quarantines_its_lane_alone(self):
+        """A finite but huge measurement makes one lane's prediction
+        non-finite.  While that lane is not evaluated its rows raise
+        nothing; once evaluated, it alone is quarantined, with the error
+        its scalar estimator raises, and the other sessions decide as in
+        a fleet that never had it."""
+        cfg = FleetConfig(checkpoint_every=8)
+        poisoned = session_id(1)
+        huge = (1e150, 1e150, 1e150)
+        poison = {
+            0: TelemetryFrame(tick=0, dac=(100, 100, 100), pedal_down=False, mpos=huge),
+            1: TelemetryFrame(tick=1, dac=(100, 100, 100), mpos=huge),
+        }
+
+        twin = spec(poisoned).build_supervisor(cfg)
+        twin.attach(SessionBoard())
+        with np.errstate(all="ignore"):
+            assert twin.process(poison[0].to_packet(), poison[0].mpos_array())
+            with pytest.raises(IntegrationError) as scalar:
+                twin.process(poison[1].to_packet(), poison[1].mpos_array())
+
+        def run(indices):
+            fleet = FleetSupervisor(config=cfg)
+            for i in indices:
+                fleet.register(spec(session_id(i)))
+            reports = []
+            for tick in range(30):
+                for i in indices:
+                    sid = session_id(i)
+                    if fleet.sessions[sid].quarantined:
+                        continue
+                    if sid == poisoned and tick in poison:
+                        fleet.ingest(sid, poison[tick])
+                    else:
+                        fleet.ingest(sid, frame_for(5, i, tick))
+                with np.errstate(all="ignore"):
+                    reports.append(fleet.tick(tick))
+            return fleet, reports
+
+        fleet, reports = run([0, 1, 2])
+        control, _ = run([0, 2])
+
+        reason = f"evaluation raised IntegrationError: {scalar.value}"
+        assert reports[0].quarantined == []
+        assert reports[1].quarantined == [(poisoned, reason)]
+        bad = fleet.sessions[poisoned]
+        assert bad.quarantined and bad.quarantine_reason == reason
+        fps = fleet.fingerprints()
+        for i in (0, 2):
+            sid = session_id(i)
+            assert fps[sid] == control.fingerprints()[sid]
+            assert fleet.sessions[sid].supervisor.stats.packets_evaluated > 0
 
     def test_quarantine_writes_flight_dump(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ENV_ENABLE, "1")

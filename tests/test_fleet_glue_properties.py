@@ -681,28 +681,59 @@ def stale_estimator():
     return estimator
 
 
-def spec_writeback(batch, lane):
+def fill_estimator(fill) -> NextStateEstimator:
+    """A scalar estimator holding exactly ``fill`` (rows as arrays)."""
     estimator = NextStateEstimator()
-    estimator.restore(batch.lane_state(lane))
+    estimator._jpos = np.array(fill["jpos"]) if fill["synced"] else None
+    estimator._jvel = np.array(fill["jvel"])
+    if fill["has_prediction"]:
+        estimator._predicted_jpos = np.array(fill["predicted_jpos"])
+        estimator._predicted_jvel = np.array(fill["predicted_jvel"])
+    estimator.coast_streak = fill["coast_streak"]
     return estimator
+
+
+def scalar_bytes(estimator):
+    """Every field of a scalar estimator, rows as bytes (``None`` kept)."""
+    rows = [
+        estimator._jpos,
+        estimator._jvel,
+        estimator._predicted_jpos,
+        estimator._predicted_jvel,
+    ]
+    return (
+        estimator.synced,
+        int(estimator.coast_streak),
+        [None if r is None else r.tobytes() for r in rows],
+    )
+
+
+def restored(estimator):
+    """A fresh scalar estimator restored from ``estimator.snapshot()``."""
+    copy = NextStateEstimator()
+    copy.restore(estimator.snapshot())
+    return copy
 
 
 EDGE_ROWS = ([-0.0, math.inf, -math.inf], [math.nan, -0.0, 0.0])
 
 
 class TestLaneWriteback:
-    """``copy_lane_into`` equals the ``restore(lane_state(lane))`` it
-    replaced, and hands the scalar estimator rows it owns."""
+    """``copy_lane_into`` leaves the scalar estimator holding the lane,
+    as the scalar ``snapshot()``/``restore()`` see it, and hands it rows
+    it owns."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(lane_fill, min_size=LANES, max_size=LANES))
-    def test_equals_restore_of_lane_state(self, fills):
+    def test_equals_the_scalar_estimator_of_the_fill(self, fills):
         batch = filled_batch(fills)
-        for lane in range(LANES):
+        for lane, fill in enumerate(fills):
             estimator = stale_estimator()
             batch.copy_lane_into(lane, estimator)
-            spec = spec_writeback(batch, lane)
+            spec = fill_estimator(fill)
             assert estimator.snapshot() == spec.snapshot()
+            assert estimator.snapshot() == restored(estimator).snapshot()
+            assert scalar_bytes(estimator) == scalar_bytes(spec)
             assert type(estimator.coast_streak) is int
             assert estimator.synced == spec.synced
 
@@ -723,49 +754,54 @@ class TestLaneWriteback:
         estimators = [stale_estimator() for _ in range(LANES)]
         for lane, estimator in enumerate(estimators):
             batch.copy_lane_into(lane, estimator)
-            assert estimator.snapshot() == spec_writeback(batch, lane).snapshot()
+            # -0.0, +-inf and the NaN: the very same bytes.
+            assert scalar_bytes(estimator) == scalar_bytes(fill_estimator(fill))
         copied = [estimator.snapshot() for estimator in estimators]
 
-        # In-place writes (reset) and fresh rows (sync, estimate, coast)
-        # on the batch leave the scalar estimators as they were.
-        batch.reset()
+        # In-place writes (a lane load) and fresh rows (sync, estimate,
+        # coast) on the batch leave the scalar estimators as they were.
+        for lane in range(LANES):
+            batch.load_lane_from(lane, stale_estimator())
         batch.sync(np.zeros((LANES, 3)))
         batch.estimate(np.full((LANES, 3), 100.0))
         batch.coast()
         assert [estimator.snapshot() for estimator in estimators] == copied
 
 
-def fill_estimator(fill) -> NextStateEstimator:
-    """A scalar estimator holding exactly ``fill`` (rows as arrays)."""
-    estimator = NextStateEstimator()
-    estimator._jpos = np.array(fill["jpos"]) if fill["synced"] else None
-    estimator._jvel = np.array(fill["jvel"])
-    if fill["has_prediction"]:
-        estimator._predicted_jpos = np.array(fill["predicted_jpos"])
-        estimator._predicted_jvel = np.array(fill["predicted_jvel"])
-    estimator.coast_streak = fill["coast_streak"]
-    return estimator
-
-
-def lane_bytes(batch, lane, canonical_nan=False):
-    """Every field of one lane, rows as bytes (NaNs made canonical on
-    request: the hex text spells every NaN ``nan``)."""
+def lane_bytes(batch, lane):
+    """Every field of one lane, rows as bytes."""
     rows = [batch._jpos, batch._jvel, batch._predicted_jpos, batch._predicted_jvel]
-    if canonical_nan:
-        rows = [np.where(np.isnan(r[lane]), math.nan, r[lane]) for r in rows]
-    else:
-        rows = [r[lane] for r in rows]
     return (
         bool(batch._synced[lane]),
         bool(batch._has_prediction[lane]),
         int(batch.coast_streak[lane]),
-        [r.tobytes() for r in rows],
+        [r[lane].tobytes() for r in rows],
+    )
+
+
+def loaded_bytes(fill):
+    """The lane ``load_lane_from`` makes of a scalar estimator holding
+    ``fill``: its rows, with zeros where the scalar holds ``None``."""
+    zeros = [0.0, 0.0, 0.0]
+    synced, has_prediction = fill["synced"], fill["has_prediction"]
+    rows = [
+        fill["jpos"] if synced else zeros,
+        fill["jvel"],
+        fill["predicted_jpos"] if has_prediction else zeros,
+        fill["predicted_jvel"] if has_prediction else zeros,
+    ]
+    return (
+        synced,
+        has_prediction,
+        fill["coast_streak"],
+        [np.array(row, dtype=float).tobytes() for row in rows],
     )
 
 
 class TestLaneLoad:
-    """``load_lane_from`` equals the ``load_lane_state(lane,
-    estimator.snapshot())`` it replaced, and shares no rows."""
+    """``load_lane_from`` holds the scalar estimator's state in the lane,
+    so that copying the lane back gives the same ``snapshot()``, and
+    shares no rows."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -773,17 +809,16 @@ class TestLaneLoad:
         st.lists(lane_fill, min_size=LANES, max_size=LANES),
     )
     def test_equals_load_of_the_snapshot(self, stale, fills):
-        direct, spec = filled_batch(stale), filled_batch(stale)
+        batch = filled_batch(stale)
         for lane, fill in enumerate(fills):
             estimator = fill_estimator(fill)
-            direct.load_lane_from(lane, estimator)
-            spec.load_lane_state(lane, estimator.snapshot())
-        for lane in range(LANES):
-            assert direct.lane_state(lane) == spec.lane_state(lane)
-            assert lane_bytes(direct, lane, canonical_nan=True) == lane_bytes(
-                spec, lane, canonical_nan=True
-            )
-            assert type(direct.lane_state(lane)["coast_streak"]) is int
+            batch.load_lane_from(lane, estimator)
+            back = NextStateEstimator()
+            batch.copy_lane_into(lane, back)
+            assert back.snapshot() == estimator.snapshot()
+            assert back.snapshot() == restored(estimator).snapshot()
+            assert lane_bytes(batch, lane) == loaded_bytes(fill)
+            assert type(back.coast_streak) is int
 
     @pytest.mark.parametrize("synced", [False, True])
     @pytest.mark.parametrize("has_prediction", [False, True])
@@ -799,14 +834,13 @@ class TestLaneLoad:
             "coast_streak": 3,
         }
         stale = {**fill, "synced": not synced, "has_prediction": not has_prediction}
-        direct, spec = filled_batch([stale] * LANES), filled_batch([stale] * LANES)
+        batch = filled_batch([stale] * LANES)
         estimators = [fill_estimator(fill) for _ in range(LANES)]
         for lane, estimator in enumerate(estimators):
-            direct.load_lane_from(lane, estimator)
-            spec.load_lane_state(lane, estimator.snapshot())
-        # -0.0, +-inf and the canonical NaN: the very same bytes.
-        loaded = [lane_bytes(direct, lane) for lane in range(LANES)]
-        assert loaded == [lane_bytes(spec, lane) for lane in range(LANES)]
+            batch.load_lane_from(lane, estimator)
+        # -0.0, +-inf and the NaN: the very same bytes.
+        loaded = [lane_bytes(batch, lane) for lane in range(LANES)]
+        assert loaded == [loaded_bytes(fill)] * LANES
 
         # In-place writes on either side leave the other as it was.
         for estimator in estimators:
@@ -814,9 +848,10 @@ class TestLaneLoad:
             for row in rows:
                 if row is not None:
                     row[:] = 7.0
-        assert [lane_bytes(direct, lane) for lane in range(LANES)] == loaded
+        assert [lane_bytes(batch, lane) for lane in range(LANES)] == loaded
         states = [estimator.snapshot() for estimator in estimators]
-        direct.reset()
+        for lane in range(LANES):
+            batch.load_lane_from(lane, stale_estimator())
         assert [estimator.snapshot() for estimator in estimators] == states
 
 

@@ -78,6 +78,10 @@ class TestTraceGoldens:
         golden.check("trace_fault_free_euler", trace.fingerprint())
 
     def test_scenario_a(self, golden):
+        """Pins the pre-attack window only.  Pedal Down comes at cycle 400
+        and the trigger waits DEFAULT_ATTACK_DELAY_CYCLES (400) more, so
+        in this 700-cycle run the attack never fires: the golden records
+        no attack activation and no alert."""
         result = run_scenario_a(
             seed=5, error_mm=0.5, period_ms=16, duration_s=0.7,
             raven_safety_enabled=False,
@@ -85,6 +89,8 @@ class TestTraceGoldens:
         golden.check("trace_scenario_a", result.trace.fingerprint())
 
     def test_scenario_b(self, golden):
+        """Pins the pre-attack window only, as ``test_scenario_a`` does:
+        the 700-cycle run ends before the trigger's first cycle (800)."""
         result = run_scenario_b(
             seed=5, error_dac=26000, period_ms=16, duration_s=0.7,
             raven_safety_enabled=False,
@@ -95,7 +101,13 @@ class TestTraceGoldens:
 @pytest.mark.campaign
 class TestCampaignGoldens:
     """Campaign outcomes: serial, parallel, and resumed must all match
-    the same recorded fingerprint."""
+    the same recorded fingerprint.
+
+    These pin the pre-attack window: the 700-cycle runs end just as the
+    campaign's 300-cycle attack delay after Pedal Down (cycle 400) runs
+    out, so the injection does not fire and the goldens hold no attacked
+    decision.
+    """
 
     GRID = dict(scenario="B", error_values=[26000], periods_ms=[16, 64])
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.dynamic_model import RavenDynamicModel
 from repro.dynamics.integrators import (
     EVALUATIONS_PER_STEP,
     INTEGRATORS,
@@ -15,7 +16,9 @@ from repro.dynamics.integrators import (
     midpoint_step,
     rk4_step,
 )
+from repro.dynamics.plant import RavenPlant
 from repro.errors import IntegrationError
+from repro.kinematics.workspace import Workspace
 
 
 def exponential_decay(_t, y):
@@ -68,11 +71,25 @@ class TestSteppers:
         assert np.allclose(y, [1.0, 0.0], atol=0.02)
 
     def test_nan_state_raises(self):
+        """Steppers return what their arithmetic gives; the callers check
+        every state they keep."""
         def bad(_t, y):
             return y * np.nan
 
-        with pytest.raises(IntegrationError):
-            euler_step(bad, 0.0, np.array([1.0]), 0.1)
+        assert np.isnan(euler_step(bad, 0.0, np.array([1.0]), 0.1)).all()
+        with pytest.raises(IntegrationError, match="euler produced a non-finite state"):
+            integrate_fixed(bad, 0.0, np.array([1.0]), 0.1, 1, "euler")
+
+    def test_model_and_plant_check_each_state(self):
+        huge = np.full(3, 1e150)
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntegrationError, match="euler produced a non-finite state"):
+                RavenDynamicModel().step(huge, np.zeros(3), [100, 100, 100])
+            plant = RavenPlant(initial_jpos=Workspace().neutral())
+            plant.release_brakes()
+            plant.set_state(huge, huge)
+            with pytest.raises(IntegrationError, match="rk4 produced a non-finite state"):
+                plant.step([100, 100, 100])
 
 
 class TestRegistry:

@@ -1,6 +1,5 @@
 """Tests for repro.teleop.network and repro.teleop.pedal."""
 
-import numpy as np
 import pytest
 
 from repro.teleop.network import (
