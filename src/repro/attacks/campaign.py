@@ -12,8 +12,20 @@ and repetition seed, two deterministic replicas of the same run execute:
   detectors' verdicts are read under identical conditions.
 
 Fault-free repetitions (negative labels) measure the false-positive rates.
-Both replicas share all random streams with the reference run (same seed),
-so the comparison isolates exactly the attack's effect.
+Every replica is seeded like its reference run.  The ground-truth replica
+has no guard, so up to the attack it records exactly the reference run's
+cycles, and its deviation isolates the attack's effect.  The monitored
+replica's inputs differ from the reference's: its guard's
+``read_measurement`` draws encoder noise from the same generator as the
+USB board's feedback reads, so its control software sees a different noise
+sequence from cycle 1 on.  Both detectors are read from that one replica,
+so they are judged on identical inputs.
+
+Both replicas are forked from a pre-attack prefix (:class:`PrefixStore`):
+for each seed and replica kind one run is simulated up to the cycle before
+the trigger's first active cycle, and every cell's replica is a deep copy
+of it, armed with the cell's payload and period.  The prefix does not
+depend on either, so the outcomes are those of straight runs.
 """
 
 from __future__ import annotations
@@ -24,15 +36,17 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import constants
+from repro.attacks.injection import AttackRecord
 from repro.core.baseline import RavenBaselineDetector
 from repro.core.metrics import ConfusionMatrix
 from repro.core.mitigation import MitigationStrategy
 from repro.core.thresholds import SafetyThresholds
 from repro.sim.runner import (
+    AttackRun,
+    AttackRunResult,
+    attack_payload,
     make_detector_guard,
     run_fault_free,
-    run_scenario_a,
-    run_scenario_b,
 )
 
 #: Tool-tip deviation from the fault-free reference that counts as an
@@ -120,6 +134,39 @@ class CampaignResult:
         return table
 
 
+class PrefixStore:
+    """The pre-attack prefixes of one campaign call.
+
+    One :class:`~repro.sim.runner.AttackRun` per (scenario, seed, replica
+    kind), paused at its trigger's arming point; :meth:`fork` hands out
+    copies.  A store lives for one ``run_campaign``/``iter_cells`` call.
+
+    A store with ``keep=False`` keeps nothing: each :meth:`fork` builds a
+    prefix and hands out the prefix itself.  That is what a store becomes
+    when it is pickled, so no rig crosses a process boundary and a pool
+    worker, whose task uses each of its prefixes once, neither copies nor
+    holds them.
+    """
+
+    def __init__(self, keep: bool = True) -> None:
+        self.keep = keep
+        self._prefixes: Dict[Tuple[str, int, bool], AttackRun] = {}
+
+    def fork(
+        self, build: Callable[[str, int, bool], AttackRun], *key
+    ) -> AttackRun:
+        """A fork of the prefix for ``key``, built with ``build(*key)`` once."""
+        if not self.keep:
+            return build(*key)
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            prefix = self._prefixes[key] = build(*key)
+        return prefix.fork()
+
+    def __reduce__(self):
+        return (PrefixStore, (False,))
+
+
 class CampaignRunner:
     """Executes injection campaigns and labels their outcomes."""
 
@@ -139,6 +186,8 @@ class CampaignRunner:
         self.base_seed = base_seed
         self.baseline = RavenBaselineDetector()
         self._references: Dict[int, np.ndarray] = {}
+        #: The current call's prefixes; ``None`` outside a campaign call.
+        self._prefixes: Optional[PrefixStore] = None
         self._progress = progress or (lambda msg: None)
 
     # -- pieces ------------------------------------------------------------------
@@ -166,51 +215,67 @@ class CampaignRunner:
             self._references[seed] = self.compute_reference_tip(seed)
         return self._references[seed]
 
-    def _attack_runner(self, cell: CampaignCell):
-        if cell.scenario == "B":
-            return lambda **kw: run_scenario_b(
-                error_dac=int(cell.error_value), period_ms=cell.period_ms, **kw
+    def _prefix(self, scenario: str, seed: int, monitored: bool) -> AttackRun:
+        """One replica kind's run of ``seed``, paused at the arming point.
+
+        Ground truth runs without RAVEN checks and without a detector; the
+        monitored replica has both, the detector in monitor mode.
+        """
+        guard = (
+            make_detector_guard(self.thresholds, strategy=MitigationStrategy.MONITOR)
+            if monitored
+            else None
+        )
+        attack = AttackRun.build(
+            scenario,
+            seed,
+            duration_s=self.duration_s,
+            guard=guard,
+            raven_safety_enabled=monitored,
+            attack_delay_cycles=self.attack_delay_cycles,
+            trajectory_name=self.trajectory_name,
+        )
+        attack.run_to_arming()
+        return attack
+
+    def _replica(
+        self, prefixes: PrefixStore, cell: CampaignCell, seed: int, monitored: bool
+    ) -> AttackRunResult:
+        attack = prefixes.fork(self._prefix, cell.scenario, seed, monitored)
+        attack.arm(attack_payload(cell.scenario, seed, cell.error_value), cell.period_ms)
+        return attack.finish(
+            AttackRecord(
+                scenario=cell.scenario,
+                error_value=cell.error_value,
+                period_cycles=cell.period_ms,
             )
-        return lambda **kw: run_scenario_a(
-            error_mm=float(cell.error_value), period_ms=cell.period_ms, **kw
         )
 
     def run_cell_once(self, cell: CampaignCell, seed: int) -> RunOutcome:
         """Both replicas of one repetition of ``cell``.
 
-        All shared setup — the attack-runner closure, the common run
-        parameters, and the fault-free reference tips — is derived once
-        here and reused by both replicas (and, via the reference cache,
-        by every other repetition with the same seed).
+        Each replica is a fork of the seed's prefix from the current
+        call's :class:`PrefixStore`; outside a campaign call it is a
+        straight run.  Each replica is released as soon as its outcome
+        fields are read, so at most one full trace is alive at a time.
         """
-        runner = self._attack_runner(cell)
+        prefixes = self._prefixes or PrefixStore(keep=False)
         reference_tip = self._reference_tip(seed)
-        common = dict(
-            seed=seed,
-            duration_s=self.duration_s,
-            trajectory_name=self.trajectory_name,
-            attack_delay_cycles=self.attack_delay_cycles,
-        )
 
-        # Ground truth: no RAVEN checks, no detector.
-        raw = runner(raven_safety_enabled=False, guard=None, **common)
+        raw = self._replica(prefixes, cell, seed, monitored=False)
         deviation = raw.trace.max_deviation_from_tip(reference_tip)
-        label = deviation > IMPACT_DEVIATION_M
+        fired = raw.record.fired
+        del raw
 
-        # Monitored replica: RAVEN checks + detector in monitor mode.
-        guard = make_detector_guard(
-            self.thresholds, strategy=MitigationStrategy.MONITOR
-        )
-        monitored = runner(raven_safety_enabled=True, guard=guard, **common)
-
+        monitored = self._replica(prefixes, cell, seed, monitored=True)
         return RunOutcome(
             cell=cell,
             seed=seed,
-            label=label,
+            label=deviation > IMPACT_DEVIATION_M,
             raven_detected=self.baseline.detected(monitored.trace),
             model_detected=monitored.model_detected,
             deviation_mm=deviation * 1e3,
-            attack_fired=raw.record.fired,
+            attack_fired=fired,
         )
 
     def run_fault_free_once(self, seed: int) -> RunOutcome:
@@ -296,13 +361,17 @@ class CampaignRunner:
         if fault_free_runs <= 0:
             fault_free_runs = self.default_fault_free_runs(cells, repetitions)
         result = CampaignResult(scenario=scenario)
-        for ci, cell in enumerate(cells):
-            for seed in self.repetition_seeds(repetitions):
-                result.outcomes.append(self.run_cell_once(cell, seed))
-            self._progress(
-                f"[{scenario}] cell {ci + 1}/{len(cells)} "
-                f"(v={cell.error_value}, d={cell.period_ms}ms) done"
-            )
+        self._prefixes = PrefixStore()
+        try:
+            for ci, cell in enumerate(cells):
+                for seed in self.repetition_seeds(repetitions):
+                    result.outcomes.append(self.run_cell_once(cell, seed))
+                self._progress(
+                    f"[{scenario}] cell {ci + 1}/{len(cells)} "
+                    f"(v={cell.error_value}, d={cell.period_ms}ms) done"
+                )
+        finally:
+            self._prefixes = None
         for seed in self.fault_free_seeds(fault_free_runs):
             result.outcomes.append(self.run_fault_free_once(seed))
         self._progress(f"[{scenario}] campaign complete: {len(result.outcomes)} runs")
@@ -398,18 +467,25 @@ class ParallelCampaignRunner(CampaignRunner):
         references: Optional[Dict[int, np.ndarray]] = None,
     ) -> Iterator[Tuple[CampaignCell, List[RunOutcome]]]:
         """Run ``cells`` x ``seeds``, yielding per-cell outcome lists in
-        grid order as they complete."""
+        grid order as they complete.
+
+        Every task carries the same :class:`PrefixStore`.  In-process
+        (``jobs=1``) the cells share its prefixes; a pool worker unpickles
+        a store that keeps none, so each of its replicas runs straight.
+        """
         from repro.experiments.parallel import iter_tasks
 
         if references is None:
             references = self.compute_references(seeds)
         config = self._worker_config()
+        prefixes = PrefixStore()
         tasks = [
             (
                 config,
                 (cell.scenario, cell.error_value, cell.period_ms),
                 list(seeds),
                 references,
+                prefixes,
             )
             for cell in cells
         ]
@@ -509,9 +585,10 @@ def _reference_worker(task) -> Tuple[int, np.ndarray]:
 
 def _cell_worker(task) -> List[RunOutcome]:
     """Cell entry: all repetitions of one cell, in seed order."""
-    config, (scenario, error_value, period_ms), seeds, references = task
+    config, (scenario, error_value, period_ms), seeds, references, prefixes = task
     runner = _runner_from_config(config)
     runner.prime_references(references)
+    runner._prefixes = prefixes
     cell = CampaignCell(
         scenario=scenario, error_value=error_value, period_ms=period_ms
     )

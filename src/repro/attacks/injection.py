@@ -15,12 +15,18 @@ wrapper that perturbs the operator's desired-position increments after
 they are received by the control software, plus a passive ``write`` wrapper
 that feeds the shared Pedal-Down trigger (the malware watches the robot
 state through the same side channel either way).
+
+The wrappers are small classes that share one :class:`Injection` (trigger,
+payload and scenario A's activity flag), not closures, so a deep copy of a
+rig (:meth:`repro.sim.rig.SurgicalRig.fork`) carries its own copy of the
+attack state, which can then take a new payload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +54,42 @@ class AttackRecord:
     def fired(self) -> bool:
         """Whether the attack activated at least once."""
         return self.activations > 0
+
+
+class Injection:
+    """The attack state a deployed library's wrappers share.
+
+    ``trigger`` decides when the attack is active and ``payload`` is what
+    it applies then.  Scenario A's two wrappers also share ``active``: the
+    ``write`` wrapper sets it from each USB packet's state byte and the
+    ``recvfrom`` wrapper reads it.  ``payload`` may be ``None`` until the
+    trigger arms (:attr:`PedalDownTrigger.armed`); it is never applied
+    before the first active packet.
+    """
+
+    def __init__(self, trigger: PedalDownTrigger, payload=None) -> None:
+        self.trigger = trigger
+        self.payload = payload
+        self.active = False
+
+
+class _Wrapper:
+    """One preloaded wrapper around the next function in the chain."""
+
+    def __init__(
+        self,
+        next_fn: Callable,
+        process: Process,
+        injection: Injection,
+        target_process: str,
+    ) -> None:
+        self.next_fn = next_fn
+        self.process = process
+        self.injection = injection
+        self.target_process = target_process
+
+    def _targets(self, data: bytes, size: int) -> bool:
+        return self.process.name == self.target_process and len(data) == size
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +160,17 @@ class ByteCorruptionInjection:
         return bytes(buf)
 
 
+class _InjectingWrite(_Wrapper):
+    """Scenario B's ``write``: rewrites the DAC bytes while active."""
+
+    def __call__(self, fd: int, data: bytes) -> int:
+        if self._targets(data, constants.USB_PACKET_SIZE):
+            injection = self.injection
+            if injection.trigger.observe(data[constants.USB_STATE_BYTE]):
+                data = injection.payload.apply(data)
+        return self.next_fn(fd, data)
+
+
 def build_scenario_b_library(
     trigger: PedalDownTrigger,
     payload,
@@ -128,24 +181,15 @@ def build_scenario_b_library(
 
     The wrapper checks the process name and packet size, feeds Byte 0 to
     the trigger, and — while active — rewrites the DAC bytes before
-    calling the original ``write``.
+    calling the original ``write``.  The library's ``state`` is the
+    :class:`Injection` its wrapper shares.
     """
-    library = SharedLibrary(name)
-
-    def write_factory(next_write, process: Process):
-        def malicious_write(fd: int, data: bytes) -> int:
-            if (
-                process.name == target_process
-                and len(data) == constants.USB_PACKET_SIZE
-            ):
-                state_byte = data[constants.USB_STATE_BYTE]
-                if trigger.observe(state_byte):
-                    data = payload.apply(data)
-            return next_write(fd, data)
-
-        return malicious_write
-
-    library.export("write", write_factory)
+    injection = Injection(trigger, payload)
+    library = SharedLibrary(name, state=injection)
+    library.export(
+        "write",
+        partial(_InjectingWrite, injection=injection, target_process=target_process),
+    )
     return library
 
 
@@ -193,9 +237,39 @@ class UserInputInjection:
         )
 
 
+class _ObservingWrite(_Wrapper):
+    """Scenario A's passive ``write``: feeds the trigger, changes nothing."""
+
+    def __call__(self, fd: int, data: bytes) -> int:
+        if self._targets(data, constants.USB_PACKET_SIZE):
+            injection = self.injection
+            injection.active = injection.trigger.observe(
+                data[constants.USB_STATE_BYTE]
+            )
+        return self.next_fn(fd, data)
+
+
+class _InjectingRecvfrom(_Wrapper):
+    """Scenario A's ``recvfrom``: perturbs console packets while active."""
+
+    def __call__(self, fd: int, max_bytes: int) -> Optional[bytes]:
+        data = self.next_fn(fd, max_bytes)
+        if (
+            data is None
+            or not self.injection.active
+            or not self._targets(data, constants.ITP_PACKET_SIZE)
+        ):
+            return data
+        try:
+            packet = decode_itp(data)
+        except (PacketError, ChecksumError):
+            return data
+        return encode_itp(self.injection.payload.apply(packet))
+
+
 def build_scenario_a_library(
     trigger: PedalDownTrigger,
-    payload: UserInputInjection,
+    payload: Optional[UserInputInjection],
     target_process: str = "r2_control",
     name: str = "libinject_a.so",
 ) -> SharedLibrary:
@@ -207,40 +281,14 @@ def build_scenario_a_library(
     active.  The modification happens after the control software has
     received (and checksum-validated) the datagram, modelling the paper's
     in-process corruption of user inputs; the re-encoded packet therefore
-    carries a fresh valid checksum.
+    carries a fresh valid checksum.  The library's ``state`` is the
+    :class:`Injection` both wrappers share.
     """
-    library = SharedLibrary(name)
-    state = {"active": False}
-
-    def write_factory(next_write, process: Process):
-        def observing_write(fd: int, data: bytes) -> int:
-            if (
-                process.name == target_process
-                and len(data) == constants.USB_PACKET_SIZE
-            ):
-                state["active"] = trigger.observe(data[constants.USB_STATE_BYTE])
-            return next_write(fd, data)
-
-        return observing_write
-
-    def recvfrom_factory(next_recvfrom, process: Process):
-        def malicious_recvfrom(fd: int, max_bytes: int):
-            data = next_recvfrom(fd, max_bytes)
-            if (
-                data is None
-                or process.name != target_process
-                or len(data) != constants.ITP_PACKET_SIZE
-                or not state["active"]
-            ):
-                return data
-            try:
-                packet = decode_itp(data)
-            except (PacketError, ChecksumError):
-                return data
-            return encode_itp(payload.apply(packet))
-
-        return malicious_recvfrom
-
-    library.export("write", write_factory)
-    library.export("recvfrom", recvfrom_factory)
+    injection = Injection(trigger, payload)
+    library = SharedLibrary(name, state=injection)
+    for symbol, wrapper in (("write", _ObservingWrite), ("recvfrom", _InjectingRecvfrom)):
+        library.export(
+            symbol,
+            partial(wrapper, injection=injection, target_process=target_process),
+        )
     return library

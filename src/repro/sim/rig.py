@@ -11,16 +11,29 @@ A :class:`SurgicalRig` assembles one complete teleoperation stack:
     PLC: watchdog monitor + fail-safe brakes + E-STOP latch
 
 Every stochastic element (tremor, encoder noise, channel loss) draws from
-generators seeded from one run seed, so runs are exactly reproducible and
-protected/unprotected replicas of the same run see identical inputs.
+generators seeded from one run seed, so runs are exactly reproducible.
+Replicas of one run with and without a guard do *not* see identical
+inputs: a guard's ``read_measurement`` draws encoder noise from the same
+generator as the USB board's feedback reads, so from cycle 1 on the
+guarded run's control software sees a different noise sequence (with a
+seed-0 circle run, ``pos_d`` first differs at cycle 1 and the tool tip at
+cycle 401, once the arm moves).
+
+A run can pause at a cycle boundary and resume (:meth:`SurgicalRig.run`
+with ``until``), and a paused rig can be forked (:meth:`SurgicalRig.fork`)
+into a deep copy that runs on independently.  Forking relies on the rig's
+components holding no closures: ``copy.deepcopy`` treats a function as
+atomic, so a closure in a copy would still act on the original.  Hooks are
+objects or bound methods instead, which a deep copy rebinds.
 """
 
 from __future__ import annotations
 
+import copy
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -42,6 +55,7 @@ from repro.kinematics.workspace import Workspace
 from repro.obs.runtime import get_runtime
 from repro.sim.trace import RunTrace
 from repro.sysmodel.linker import DynamicLinker, SharedLibrary, SystemEnvironment
+from repro.sysmodel.syscalls import SYSCALL_NAMES
 from repro.teleop.console import MasterConsoleEmulator
 from repro.teleop.network import UdpChannel, UdpSocket
 from repro.teleop.pedal import PedalSchedule
@@ -83,6 +97,10 @@ class RigConfig:
 
 #: DAC limit used to "disable" the RAVEN checks in ground-truth runs.
 _DISABLED_DAC_LIMIT = 10 * constants.DAC_FULL_SCALE
+
+#: The per-cycle series of a :class:`RunTrace`.  A fork copies these lists
+#: but shares their entries, which are never mutated once recorded.
+_TRACE_SERIES = ("times", "states", "tip_pos", "pos_d", "jpos", "jvel", "mpos", "dac")
 
 
 class SurgicalRig:
@@ -222,29 +240,45 @@ class SurgicalRig:
         self.flight_dumps: List[Path] = []
         self._flight_dumped = {"alarm": False, "estop": False}
 
+        #: The trace being recorded; ``None`` until :meth:`run` first starts.
+        self.trace: Optional[RunTrace] = None
+        #: The next cycle to simulate.
+        self.cycle = 0
+        self.steps = int(round(config.duration_s / constants.CONTROL_PERIOD_S))
+        self._started = False
+        self._now = 0.0
+
     # -- execution ---------------------------------------------------------------------
 
-    def run(self, trace: Optional[RunTrace] = None) -> RunTrace:
-        """Execute the configured run and return its trace."""
+    @property
+    def finished(self) -> bool:
+        """Whether every configured cycle has run."""
+        return self.cycle >= self.steps
+
+    def run(
+        self,
+        trace: Optional[RunTrace] = None,
+        until: Optional[Callable[[], bool]] = None,
+    ) -> RunTrace:
+        """Execute the configured run (or the rest of it); return its trace.
+
+        ``until``, when given, is checked before every cycle: the run
+        pauses at the first cycle boundary where it returns True and
+        returns the trace so far.  A later call resumes from there, and a
+        paused rig can be forked (:meth:`fork`).  ``trace`` is the trace to
+        record into and counts only on the first call.
+        """
         config = self.config
-        trace = trace or RunTrace()
-        trace.seed = config.seed
-        trace.label = config.trajectory_name
+        if self.trace is None:
+            self.trace = trace if trace is not None else RunTrace()
+            self.trace.seed = config.seed
+            self.trace.label = config.trajectory_name
+        trace = self.trace
+        # Registered only while running: a listener left behind would tie
+        # the state machine to this rig (and its trace) between calls.
+        self.controller.state_machine.add_listener(self._on_transition)
 
-        started = False
-
-        def on_transition(old: RobotState, new: RobotState) -> None:
-            if new is RobotState.E_STOP and started:
-                reason = self.controller.state_machine.last_estop_reason or ""
-                trace.estop_events.append((self._now, reason))
-                self.obs.log_event(
-                    "estop", t=self._now, seed=config.seed, reason=reason
-                )
-
-        self.controller.state_machine.add_listener(on_transition)
-
-        steps = int(round(config.duration_s / constants.CONTROL_PERIOD_S))
-        self._now = 0.0
+        steps = self.steps
         run_span = (
             self.obs.tracer.span(
                 "rig.run",
@@ -257,12 +291,15 @@ class SurgicalRig:
             else nullcontext()
         )
         with run_span:
-            for k in range(steps):
+            for k in range(self.cycle, steps):
+                if until is not None and until():
+                    self.cycle = k
+                    break
                 self._now = k * constants.CONTROL_PERIOD_S
                 now = self._now
-                if not started and now >= config.start_button_s:
+                if not self._started and now >= config.start_button_s:
                     self.controller.press_start(now)
-                    started = True
+                    self._started = True
 
                 self.socket.set_time(now)
                 if self.phys_injector is not None:
@@ -298,11 +335,11 @@ class SurgicalRig:
                 )
                 if self.flight is not None:
                     self._flight_cycle(k, now, out, snapshot)
-        # The listener closes over this rig and its trace; left registered,
-        # that cycle would keep the whole trace alive until a full GC.
-        self.controller.state_machine.remove_listener(on_transition)
+            else:
+                self.cycle = steps
+        self.controller.state_machine.remove_listener(self._on_transition)
 
-        if self.guard is not None:
+        if self.finished and self.guard is not None:
             trace.detector_alert_cycles = [
                 e.cycle for e in self.guard.stats.alert_events
             ]
@@ -313,6 +350,49 @@ class SurgicalRig:
                     * (self.guard.stats.alerts - len(trace.detector_alert_cycles))
                 )
         return trace
+
+    def _on_transition(self, old: RobotState, new: RobotState) -> None:
+        if new is RobotState.E_STOP and self._started:
+            reason = self.controller.state_machine.last_estop_reason or ""
+            self.trace.estop_events.append((self._now, reason))
+            self.obs.log_event(
+                "estop", t=self._now, seed=self.config.seed, reason=reason
+            )
+
+    def fork(self) -> "SurgicalRig":
+        """A deep copy of this rig that runs on independently.
+
+        Meant for a rig paused by :meth:`run`'s ``until``: the copy resumes
+        from the same cycle with copies of every component, random
+        generator state included, so it records what the original would.
+        Two things are shared, not copied: the process-wide telemetry
+        runtime, and the entries recorded so far in the trace (the copy
+        gets its own lists over the same, never-mutated entries).
+        """
+        return copy.deepcopy(self, self.fork_memo())
+
+    def fork_memo(self) -> dict:
+        """A ``copy.deepcopy`` memo holding what :meth:`fork` shares.
+
+        Deep-copying an object graph that contains this rig with the memo
+        forks the rig along with the rest of the graph.
+        """
+        closures = [
+            name
+            for name in SYSCALL_NAMES
+            if getattr(self.process.symbol(name), "__closure__", None)
+        ]
+        if closures:
+            raise SimulationError(
+                f"cannot fork a rig whose {closures} wrappers are closures: "
+                "a copy would keep calling them on the original"
+            )
+        memo = {id(self.obs): self.obs}
+        if self.trace is not None:
+            for name in _TRACE_SERIES:
+                series = getattr(self.trace, name)
+                memo[id(series)] = list(series)
+        return memo
 
     # -- flight recorder (REPRO_OBS) --------------------------------------------
 

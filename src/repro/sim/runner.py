@@ -6,13 +6,16 @@ the evaluation needs:
 - fault-free teleoperation runs (threshold training, FPR measurement);
 - scenario-A / scenario-B attack runs at chosen error values and
   activation periods, with selectable protection (none / RAVEN only /
-  RAVEN + dynamic-model detector in monitor or mitigation mode);
+  RAVEN + dynamic-model detector in monitor or mitigation mode), taken in
+  steps by :class:`AttackRun` so a campaign can fork one pre-attack
+  prefix for many cells;
 - model-validation runs where the dynamic model executes in parallel with
   the plant under identical control inputs (Figure 8).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +25,7 @@ from repro import constants
 from repro.attacks.injection import (
     AttackRecord,
     DacOffsetInjection,
+    Injection,
     UserInputInjection,
     build_scenario_a_library,
     build_scenario_b_library,
@@ -34,6 +38,7 @@ from repro.core.estimator import NextStateEstimator
 from repro.core.mitigation import MitigationStrategy
 from repro.core.pipeline import DetectorGuard
 from repro.core.thresholds import SafetyThresholds, ThresholdLearner
+from repro.errors import AttackConfigError
 from repro.hw.usb_board import UsbBoard
 from repro.hw.usb_packet import CommandPacket
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS_S, Histogram
@@ -250,11 +255,106 @@ class AttackRunResult:
         return self.guard is not None and self.guard.stats.alerted
 
 
-def _finalize(trace: RunTrace, trigger: PedalDownTrigger, record: AttackRecord):
-    record.activations = trigger.activations
-    record.first_active_cycle = trigger.first_active_cycle
-    trace.attack_first_cycle = trigger.first_active_cycle
-    trace.attack_activations = trigger.activations
+def attack_payload(scenario: str, seed: int, error_value: float, channel: int = 0):
+    """The injection payload of one scenario-A or scenario-B run.
+
+    Scenario B adds ``error_value`` DAC counts to ``channel``; scenario A
+    adds ``error_value`` mm per console packet along a direction drawn
+    from the run seed.
+    """
+    if scenario == "B":
+        return DacOffsetInjection(offset_counts=int(error_value), channel=channel)
+    direction_rng = np.random.default_rng(seed + 777)
+    return UserInputInjection(error_m=float(error_value) * 1e-3, rng=direction_rng)
+
+
+class AttackRun:
+    """One attack run, taken in steps: build, run to arming, arm, finish.
+
+    :meth:`run_to_arming` stops at the cycle boundary before the trigger's
+    first active cycle.  Everything simulated up to there is independent
+    of the payload and the activation period, which :meth:`arm` only then
+    sets.  :func:`run_scenario_a` and :func:`run_scenario_b` take the four
+    steps in a row.  A campaign runs one prefix per seed and replica kind
+    and arms a :meth:`fork` of it for every cell.
+    """
+
+    def __init__(self, rig: SurgicalRig, injection: Injection) -> None:
+        self.rig = rig
+        self.injection = injection
+
+    @classmethod
+    def build(
+        cls,
+        scenario: str,
+        seed: int,
+        duration_s: float = 2.5,
+        guard: Optional[DetectorGuard] = None,
+        raven_safety_enabled: bool = True,
+        attack_delay_cycles: int = DEFAULT_ATTACK_DELAY_CYCLES,
+        trajectory_name: str = "circle",
+        **config_kwargs,
+    ) -> "AttackRun":
+        """A rig with scenario ``scenario``'s library preloaded, unarmed."""
+        trigger = PedalDownTrigger.for_pedal_down(delay_cycles=attack_delay_cycles)
+        build_library = (
+            build_scenario_b_library if scenario == "B" else build_scenario_a_library
+        )
+        library = build_library(trigger, None)
+        config = RigConfig(
+            seed=seed,
+            duration_s=duration_s,
+            trajectory_name=trajectory_name,
+            raven_safety_enabled=raven_safety_enabled,
+            **config_kwargs,
+        )
+        rig = SurgicalRig(config, preload_libraries=[library], guard=guard)
+        return cls(rig, library.state)
+
+    def run_to_arming(self) -> None:
+        """Run until the trigger is armed, or to the end if it never is."""
+        trigger = self.injection.trigger
+        self.rig.run(until=lambda: trigger.armed)
+
+    def arm(self, payload, duration_cycles: int) -> None:
+        """Give the attack its payload and activation period."""
+        self.injection.trigger.set_duration(duration_cycles)
+        self.injection.payload = payload
+
+    def finish(self, record: AttackRecord) -> "AttackRunResult":
+        """Run the rest of the run; fill ``record`` from the trigger."""
+        if self.injection.payload is None:
+            raise AttackConfigError("arm() the attack before finishing it")
+        trigger = self.injection.trigger
+        trace = self.rig.run()
+        record.activations = trigger.activations
+        record.first_active_cycle = trigger.first_active_cycle
+        trace.attack_first_cycle = trigger.first_active_cycle
+        trace.attack_activations = trigger.activations
+        return AttackRunResult(trace=trace, record=record, guard=self.rig.guard)
+
+    def fork(self) -> "AttackRun":
+        """A copy that runs on independently (see :meth:`SurgicalRig.fork`)."""
+        return copy.deepcopy(self, self.rig.fork_memo())
+
+
+def _run_attack(
+    scenario: str,
+    seed: int,
+    error_value: float,
+    period_ms: int,
+    channel: int = 0,
+    **build_kwargs,
+) -> AttackRunResult:
+    payload = attack_payload(scenario, seed, error_value, channel=channel)
+    attack = AttackRun.build(scenario, seed, **build_kwargs)
+    attack.run_to_arming()
+    attack.arm(payload, period_ms)
+    return attack.finish(
+        AttackRecord(
+            scenario=scenario, error_value=error_value, period_cycles=period_ms
+        )
+    )
 
 
 def run_scenario_b(
@@ -270,24 +370,19 @@ def run_scenario_b(
     **config_kwargs,
 ) -> AttackRunResult:
     """One scenario-B run: DAC offset ``error_dac`` for ``period_ms`` ms."""
-    trigger = PedalDownTrigger.for_pedal_down(
-        delay_cycles=attack_delay_cycles, duration_cycles=period_ms
-    )
-    payload = DacOffsetInjection(offset_counts=error_dac, channel=channel)
-    library = build_scenario_b_library(trigger, payload)
-    config = RigConfig(
-        seed=seed,
+    return _run_attack(
+        "B",
+        seed,
+        error_dac,
+        period_ms,
+        channel=channel,
         duration_s=duration_s,
-        trajectory_name=trajectory_name,
+        guard=guard,
         raven_safety_enabled=raven_safety_enabled,
+        attack_delay_cycles=attack_delay_cycles,
+        trajectory_name=trajectory_name,
         **config_kwargs,
     )
-    record = AttackRecord(
-        scenario="B", error_value=error_dac, period_cycles=period_ms
-    )
-    trace = SurgicalRig(config, preload_libraries=[library], guard=guard).run()
-    _finalize(trace, trigger, record)
-    return AttackRunResult(trace=trace, record=record, guard=guard)
 
 
 def run_scenario_a(
@@ -303,25 +398,18 @@ def run_scenario_a(
 ) -> AttackRunResult:
     """One scenario-A run: ``error_mm`` mm of commanded-position error per
     console packet, sustained for ``period_ms`` ms."""
-    trigger = PedalDownTrigger.for_pedal_down(
-        delay_cycles=attack_delay_cycles, duration_cycles=period_ms
-    )
-    direction_rng = np.random.default_rng(seed + 777)
-    payload = UserInputInjection(error_m=error_mm * 1e-3, rng=direction_rng)
-    library = build_scenario_a_library(trigger, payload)
-    config = RigConfig(
-        seed=seed,
+    return _run_attack(
+        "A",
+        seed,
+        error_mm,
+        period_ms,
         duration_s=duration_s,
-        trajectory_name=trajectory_name,
+        guard=guard,
         raven_safety_enabled=raven_safety_enabled,
+        attack_delay_cycles=attack_delay_cycles,
+        trajectory_name=trajectory_name,
         **config_kwargs,
     )
-    record = AttackRecord(
-        scenario="A", error_value=error_mm, period_cycles=period_ms
-    )
-    trace = SurgicalRig(config, preload_libraries=[library], guard=guard).run()
-    _finalize(trace, trigger, record)
-    return AttackRunResult(trace=trace, record=record, guard=guard)
 
 
 # ---------------------------------------------------------------------------

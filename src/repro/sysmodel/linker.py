@@ -14,6 +14,12 @@ describes:
 
 Only processes (re)linked after the preload entry is added pick up the
 wrappers, mirroring real loader behaviour.
+
+Factories and the wrappers they return should be plain objects (classes,
+bound methods, :func:`functools.partial`), not closures: ``copy.deepcopy``
+treats a function as atomic, so a deep-copied process would keep calling
+closures bound to the original's devices and attack state.  The rigs that
+:meth:`repro.sim.rig.SurgicalRig.fork` copies rely on this.
 """
 
 from __future__ import annotations
@@ -24,15 +30,21 @@ from repro.errors import LinkerError
 from repro.sysmodel.process import Process
 from repro.sysmodel.syscalls import SYSCALL_NAMES, real_syscalls
 
-#: A wrapper factory: (next_fn, process) -> replacement function.
+#: A wrapper factory: (next_fn, process) -> replacement callable.
 WrapperFactory = Callable[[Callable, Process], Callable]
 
 
 class SharedLibrary:
-    """A shared object exporting wrapper symbols."""
+    """A shared object exporting wrapper symbols.
 
-    def __init__(self, name: str) -> None:
+    ``state`` is whatever the library's wrappers share (for the attack
+    libraries, their :class:`repro.attacks.injection.Injection`), kept here
+    for callers that adjust it after the library is deployed.
+    """
+
+    def __init__(self, name: str, state: Optional[object] = None) -> None:
         self.name = name
+        self.state = state
         self._factories: Dict[str, WrapperFactory] = {}
 
     def export(self, symbol: str, factory: WrapperFactory) -> None:

@@ -5,6 +5,10 @@ behind the file descriptor.  The dynamic linker chains preloaded wrappers
 *in front of* these functions, so a wrapper receives the next function in
 the chain exactly like a real ``LD_PRELOAD`` wrapper obtains the original
 via ``dlsym(RTLD_NEXT, ...)``.
+
+The implementations are bound methods of a :class:`RealSyscalls` object,
+not closures, so a deep copy of a linked process (as made by
+:meth:`repro.sim.rig.SurgicalRig.fork`) rebinds them to the copy.
 """
 
 from __future__ import annotations
@@ -20,19 +24,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 SYSCALL_NAMES = ("write", "read", "recvfrom")
 
 
-def real_syscalls(process: "Process") -> Dict[str, Callable]:
-    """Build the un-wrapped symbol table for ``process``."""
+class RealSyscalls:
+    """The un-wrapped syscalls of one process."""
 
-    def real_write(fd: int, data: bytes) -> int:
+    def __init__(self, process: "Process") -> None:
+        self.process = process
+
+    def write(self, fd: int, data: bytes) -> int:
         if not isinstance(data, (bytes, bytearray)):
             raise SyscallError("write expects bytes")
-        return process.device(fd).fd_write(bytes(data))
+        return self.process.device(fd).fd_write(bytes(data))
 
-    def real_read(fd: int, max_bytes: int) -> bytes:
-        return process.device(fd).fd_read(max_bytes)
+    def read(self, fd: int, max_bytes: int) -> bytes:
+        return self.process.device(fd).fd_read(max_bytes)
 
-    def real_recvfrom(fd: int, max_bytes: int) -> Optional[bytes]:
-        device = process.device(fd)
+    def recvfrom(self, fd: int, max_bytes: int) -> Optional[bytes]:
+        device = self.process.device(fd)
         recv = getattr(device, "fd_recvfrom", None)
         if recv is None:
             raise SyscallError(
@@ -40,4 +47,8 @@ def real_syscalls(process: "Process") -> Dict[str, Callable]:
             )
         return recv(max_bytes)
 
-    return {"write": real_write, "read": real_read, "recvfrom": real_recvfrom}
+
+def real_syscalls(process: "Process") -> Dict[str, Callable]:
+    """Build the un-wrapped symbol table for ``process``."""
+    real = RealSyscalls(process)
+    return {"write": real.write, "read": real.read, "recvfrom": real.recvfrom}

@@ -148,6 +148,52 @@ class TestCampaignGoldens:
         golden.check("campaign_b_cached", campaign_fingerprint(resumed))
 
 
+@pytest.mark.campaign
+class TestFiredCampaignGoldens:
+    """Campaigns whose attacks fire, pinned serial and with two workers.
+
+    The 1200-cycle runs outlast Pedal Down (cycle 400) plus the 300-cycle
+    attack delay by 500 cycles, so every cell's injection fires inside
+    the run.  Each test first asserts that precondition, so a later change
+    to the delay or the run length fails here instead of leaving a golden
+    that pins no attacked decision.
+    """
+
+    GRIDS = {
+        "A": dict(scenario="A", error_values=[0.5], periods_ms=[16, 64]),
+        "B": dict(scenario="B", error_values=[26000], periods_ms=[16, 64]),
+    }
+
+    def _run(self, scenario, thresholds, jobs):
+        timing = dict(duration_s=1.2, attack_delay_cycles=300)
+        runner = (
+            CampaignRunner(thresholds, **timing)
+            if jobs == 1
+            else ParallelCampaignRunner(thresholds, jobs=jobs, **timing)
+        )
+        result = runner.run_campaign(
+            **self.GRIDS[scenario], repetitions=1, fault_free_runs=1
+        )
+        attacked = [o for o in result.outcomes if not o.is_fault_free]
+        assert len(attacked) == 2
+        assert all(o.attack_fired for o in attacked)
+        assert any(o.label for o in attacked)
+        assert any(o.model_detected for o in attacked)
+        return campaign_fingerprint(result)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scenario_a(self, golden, loose_thresholds, jobs):
+        golden.check(
+            "campaign_fired_a", self._run("A", loose_thresholds, jobs)
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scenario_b(self, golden, loose_thresholds, jobs):
+        golden.check(
+            "campaign_fired_b", self._run("B", loose_thresholds, jobs)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Fleet goldens: SIGKILL a fleet worker mid-campaign, resume from the
 # session store, and the per-session fingerprints must equal the
