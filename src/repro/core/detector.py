@@ -34,18 +34,43 @@ from repro.obs.metrics import MARGIN_RATIO_BUCKETS
 from repro.obs.runtime import get_runtime
 
 
-def _peak_ratio(values: List[float], limits: List[float]) -> float:
-    """``float(np.max(np.abs(values) / limits))`` on Python floats.
+def _not_calibrated() -> DetectorError:
+    return DetectorError(
+        "detector not calibrated: provide SafetyThresholds (see ThresholdLearner)"
+    )
+
+
+#: One group's three per-axis thresholds as floats.
+Limits = Tuple[float, float, float]
+
+
+def _limit_floats(
+    thresholds: Optional[SafetyThresholds],
+) -> Optional[Tuple[Limits, Limits, Limits]]:
+    """Each group's thresholds as floats, in ``VARIABLE_GROUPS`` order."""
+    if thresholds is None:
+        return None
+    return tuple(
+        tuple(getattr(thresholds, group).tolist()) for group in VARIABLE_GROUPS
+    )
+
+
+def _peak_ratio(values: List[float], limits: Limits) -> float:
+    """``float(np.max(np.abs(values) / limits))`` on three Python floats.
 
     Keeps ``np.maximum``'s reduction rule, under which the first NaN
     wins wherever it sits: a NaN axis gives its group a NaN margin and
     no alarm.  Python's ``max`` would depend on the NaN's position.
     """
-    peak = None
-    for value, limit in zip(values, limits):
-        ratio = abs(value) / limit
-        if peak is None or not (peak >= ratio or math.isnan(peak)):
-            peak = ratio
+    v0, v1, v2 = values
+    l0, l1, l2 = limits
+    peak = abs(v0) / l0
+    ratio = abs(v1) / l1
+    if not (peak >= ratio or math.isnan(peak)):
+        peak = ratio
+    ratio = abs(v2) / l2
+    if not (peak >= ratio or math.isnan(peak)):
+        peak = ratio
     return peak
 
 
@@ -162,6 +187,7 @@ class AnomalyDetector:
         alerting.
         """
         self._thresholds = thresholds
+        self._limits = _limit_floats(thresholds)
         self.fusion = fusion
         self.debouncer = (
             None if decision_window is None else AlarmDebouncer(*decision_window)
@@ -202,27 +228,28 @@ class AnomalyDetector:
             If the detector has not been calibrated.
         """
         if self._thresholds is None:
-            raise DetectorError(
-                "detector not calibrated: provide SafetyThresholds "
-                "(see ThresholdLearner)"
-            )
+            raise _not_calibrated()
         return self._thresholds
 
     def calibrate(self, thresholds: SafetyThresholds) -> None:
         """Install (or replace) the thresholds."""
         self._thresholds = thresholds
+        self._limits = _limit_floats(thresholds)
 
     def evaluate(self, estimate: StateEstimate) -> DetectionResult:
         """Evaluate one command's estimated instant rates."""
-        thresholds = self.thresholds
-        alarms: Dict[str, bool] = {}
-        margins: Dict[str, float] = {}
-        for group in VARIABLE_GROUPS:
-            ratio = _peak_ratio(
-                getattr(estimate, group).tolist(), getattr(thresholds, group).tolist()
-            )
-            alarms[group] = ratio > 1.0
-            margins[group] = ratio
+        if self._limits is None:
+            raise _not_calibrated()
+        mv_limits, ma_limits, jv_limits = self._limits
+        mv = _peak_ratio(estimate.motor_velocity.tolist(), mv_limits)
+        ma = _peak_ratio(estimate.motor_acceleration.tolist(), ma_limits)
+        jv = _peak_ratio(estimate.joint_velocity.tolist(), jv_limits)
+        alarms = {
+            "motor_velocity": mv > 1.0,
+            "motor_acceleration": ma > 1.0,
+            "joint_velocity": jv > 1.0,
+        }
+        margins = {"motor_velocity": mv, "motor_acceleration": ma, "joint_velocity": jv}
         raw_alert = self.fusion.decide(alarms)
         alert = (
             raw_alert

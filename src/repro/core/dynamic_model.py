@@ -22,13 +22,19 @@ mirroring the paper's setup:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro import constants
 from repro.dynamics.friction import FrictionModel
-from repro.dynamics.integrators import check_finite, get_integrator, nonfinite_error
+from repro.dynamics.integrators import (
+    check_finite,
+    euler_step,
+    get_integrator,
+    nonfinite_error,
+)
 from repro.dynamics.manipulator import ManipulatorDynamics, ManipulatorParameters
 from repro.dynamics.motor import MotorParameters
 from repro.dynamics.plant import DEFAULT_MOTORS
@@ -98,7 +104,10 @@ class RavenDynamicModel:
         self.dynamics = ManipulatorDynamics(params=params, friction=friction)
         self.motors = tuple(motors)
         self.transmission = transmission or Transmission()
-        self._stepper = get_integrator(integrator)
+        stepper = get_integrator(integrator)
+        #: The shared stepper, or None for Euler, which :meth:`_advance`
+        #: runs on floats.
+        self._stepper = None if stepper is euler_step else stepper
         self.integrator_name = integrator
         self.dt = dt
 
@@ -113,7 +122,10 @@ class RavenDynamicModel:
         # Float copies for the per-call glue, and G for the motor states.
         self._kt_floats = self._kt.tolist()
         self._i_max_floats = self._i_max.tolist()
+        self._refl_m_floats = self._refl_m.ravel().tolist()
         self._g = self.transmission.joint_to_motor
+        #: ``G.T``, the view ``Transmission.joint_torques`` multiplies by.
+        self._g_t = self._g.T
         self._stopwatch = Stopwatch()
         #: Cumulative wall-clock statistics of :meth:`predict` (Figure 8).
         self.predict_calls = 0
@@ -140,28 +152,52 @@ class RavenDynamicModel:
         Returns the next ``(jpos, jvel)``.  No timing bookkeeping — use
         :meth:`predict` for the instrumented path.
         """
-        y = self._advance(jpos, jvel, dac_values)
+        y = self._advance(
+            np.asarray(jpos, dtype=float), np.asarray(jvel, dtype=float), dac_values
+        )
         return y[0:3], y[3:6]
 
     def _advance(
         self, jpos: np.ndarray, jvel: np.ndarray, dac_values: Sequence[float]
     ) -> np.ndarray:
-        """The state ``[jpos, jvel]`` one control period on, as one array."""
+        """The state ``[jpos, jvel]`` one control period on, as one array.
+
+        ``jpos`` and ``jvel`` are float64 arrays.  Euler's one derivative
+        evaluation and ``y + h * f`` run on floats, in
+        :func:`~repro.dynamics.integrators.euler_step`'s operation order;
+        any other integrator runs the shared stepper.
+        """
         # Motor torques kt * clip(dac_to_current(dac)), on floats.
         full_scale, full_current = constants.DAC_FULL_SCALE, constants.DAC_FULL_SCALE_CURRENT_A
         torques = [
             kt * min(max(float(dac) / full_scale * full_current, -i_max), i_max)
             for dac, kt, i_max in zip(dac_values, self._kt_floats, self._i_max_floats)
         ]
-        tau_joint = self.transmission.joint_torques(np.array(torques))
+        tau_joint = (self._g_t @ np.array(torques)).tolist()
         dynamics = self.dynamics
-        refl_m, refl_b = self._refl_m, self._refl_b
+        refl_m, refl_b = self._refl_m_floats, self._refl_b
+
+        if self._stepper is None:
+            q = jpos.tolist()
+            a0, a1, a2 = dynamics.acceleration_floats(q, jvel, tau_joint, refl_m, refl_b)
+            p0, p1, p2 = q
+            v0, v1, v2 = jvel.tolist()
+            h = self.dt
+            state = (
+                p0 + h * v0, p1 + h * v1, p2 + h * v2,
+                v0 + h * a0, v1 + h * a1, v2 + h * a2,
+            )  # fmt: skip
+            y = np.array(state)
+            if not all(map(math.isfinite, state)):
+                raise nonfinite_error(y, self.integrator_name)
+            return y
 
         def f(_t: float, y: np.ndarray) -> np.ndarray:
-            qddot = dynamics.acceleration(
-                y[0:3], y[3:6], tau_joint, extra_inertia=refl_m, extra_damping=refl_b
+            qdot = y[3:6]
+            qddot = dynamics.acceleration_floats(
+                y[0:3].tolist(), qdot, tau_joint, refl_m, refl_b
             )
-            return np.concatenate([y[3:6], qddot])
+            return np.concatenate((qdot, qddot))
 
         y = self._stepper(f, 0.0, np.concatenate([jpos, jvel]), self.dt)
         return check_finite(y, self.integrator_name)
@@ -292,7 +328,7 @@ class BatchedDynamicModel:
         self._i_max = first._i_max
         self._refl_m = first._refl_m
         self._refl_b = first._refl_b
-        self._stepper = first._stepper
+        self._stepper = get_integrator(self.integrator_name)
         # Per-lane dynamics parameters, refreshed lazily when a lane's
         # scalar model rebuilds its ManipulatorDynamics (parameter drift).
         self.dynamics = BatchedManipulatorDynamics([m.dynamics for m in models])

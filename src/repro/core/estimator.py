@@ -101,6 +101,10 @@ class NextStateEstimator:
         if not (0.0 < velocity_filter_alpha <= 1.0):
             raise ValueError("velocity_filter_alpha must be in (0, 1]")
         self.alpha = velocity_filter_alpha
+        # G and its precomputed inverse, multiplied by directly: the same
+        # BLAS calls as Transmission.motor_velocities/joint_positions.
+        self._g = self.model.transmission.joint_to_motor
+        self._g_inv = self.model.transmission._g_inv
         self._jpos: Optional[np.ndarray] = None
         self._jvel = np.zeros(3)
         self._predicted_jpos: Optional[np.ndarray] = None
@@ -143,9 +147,7 @@ class NextStateEstimator:
         *ahead* of what encoder differences alone would show — that lead
         is what lets the detector act before the physical jump completes.
         """
-        jpos = self.model.transmission.joint_positions(
-            np.asarray(mpos_measured, dtype=float)
-        )
+        jpos = self._g_inv @ np.asarray(mpos_measured, dtype=float)
         if self._jpos is None:
             self._jvel = np.zeros(3)
         else:
@@ -232,7 +234,7 @@ class NextStateEstimator:
         prediction = self.model.predict(self._jpos, self._jvel, dac_values)
         self._predicted_jpos = prediction.jpos
         self._predicted_jvel = prediction.jvel
-        mvel_now = self.model.transmission.motor_velocities(self._jvel)
+        mvel_now = self._g @ self._jvel
         # "Estimated instant" rates: the velocities the model predicts for
         # the next step, and the per-step velocity change (acceleration).
         # Using the predicted *next* velocities — not the position deltas —

@@ -30,10 +30,13 @@ The bit-identity recipe, validated empirically against this build's BLAS:
   keep the lane's branch) — never arithmetic masking, which perturbs
   rounding.
 
-The scalar modules remain the N=1 special case.  The scalar
-``ManipulatorDynamics.acceleration`` follows the same recipe in its
-fused float form; the rules and measured mismatch rates behind it are in
-the :mod:`repro.dynamics.manipulator` docstring and in the "The physics"
+The scalar modules remain the N=1 special case.  Both kernels fuse the
+same way: the scalar ``ManipulatorDynamics.acceleration_floats``
+evaluates the pose trig once per pose on floats, and
+:meth:`BatchedManipulatorDynamics.acceleration` once per call over the
+current and look-ahead poses stacked as 2N rows.  The rules and
+measured mismatch rates behind them are in the
+:mod:`repro.dynamics.manipulator` docstring and in the "The physics"
 section of ``docs/architecture.md``.
 """
 
@@ -86,16 +89,6 @@ def require_homogeneous(values: Sequence, what: str) -> None:
 def batched_matvec(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``matrix @ v`` per lane: ``(3, 3) or (N, 3, 3)`` x ``(N, 3)``."""
     return np.matmul(matrix, vectors[..., :, None])[..., 0]
-
-
-def batched_mat_t_vec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``m.T @ v`` per lane for stacked ``(N, 3, 3)`` matrices."""
-    return np.matmul(np.swapaxes(matrices, -1, -2), vectors[..., :, None])[..., 0]
-
-
-def batched_gram(matrices: np.ndarray) -> np.ndarray:
-    """``j.T @ j`` per lane for stacked ``(N, 3, 3)`` matrices."""
-    return np.matmul(np.swapaxes(matrices, -1, -2), matrices)
 
 
 def batched_norm3(vectors: np.ndarray) -> np.ndarray:
@@ -154,10 +147,12 @@ class BatchedArmTrig:
         self.cos_a2 = math.cos(geometry.alpha2)
 
 
-def batched_tool_axis(
+def batched_pose_axes(
     trig: BatchedArmTrig, q1: np.ndarray, q2: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-lane tool axis — :meth:`SphericalArm.tool_axis` on arrays.
+) -> Tuple[np.ndarray, ...]:
+    """Per-row tool axis ``u`` and joint-2 axis ``a`` —
+    :meth:`SphericalArm.pose_axes` on arrays, the ``q1`` trig evaluated
+    once for both axes.
 
     ``math.sin``/``math.cos`` on a Python float and ``np.sin``/``np.cos``
     on an array element produce the same bits on this toolchain (both use
@@ -173,33 +168,28 @@ def batched_tool_axis(
     gy = ca1 * fy - sa1 * ca2
     gz = sa1 * fy + ca1 * ca2
     s1, c1 = np.sin(q1), np.cos(q1)
-    return c1 * gx - s1 * gy, s1 * gx + c1 * gy, gz
+    return c1 * gx - s1 * gy, s1 * gx + c1 * gy, gz, sa1 * s1, -sa1 * c1, ca1
 
 
-def batched_joint2_axis(
-    trig: BatchedArmTrig, q1: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Per-lane joint-2 axis — :meth:`SphericalArm.joint2_axis` on arrays."""
-    sa1 = trig.sin_a1
-    return sa1 * np.sin(q1), -sa1 * np.cos(q1), trig.cos_a1
+def batched_point_jacobians(axes: Tuple[np.ndarray, ...], depths: np.ndarray) -> np.ndarray:
+    """Stacked position Jacobians at every pose row and depth.
 
-
-def batched_position_jacobian(
-    trig: BatchedArmTrig, q1: np.ndarray, q2: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """Stacked ``(N, 3, 3)`` tool-tip Jacobians — entry-by-entry the
-    expressions of :func:`repro.kinematics.jacobian.position_jacobian`."""
-    ux, uy, uz = batched_tool_axis(trig, q1, q2)
-    ax, ay, az = batched_joint2_axis(trig, q1)
-    jac = np.empty(q1.shape + (3, 3))
-    jac[..., 0, 0] = -d * uy
-    jac[..., 0, 1] = d * (ay * uz - az * uy)
+    ``axes`` come from :func:`batched_pose_axes` over ``P`` pose rows and
+    ``depths`` is ``(K, P)``; the result is ``(K, P, 3, 3)``, entry by
+    entry the expressions of
+    :func:`repro.kinematics.jacobian.jacobian_entries`.  The cross
+    products depend on the pose alone, so every depth shares them.
+    """
+    ux, uy, uz, ax, ay, az = axes
+    jac = np.empty(depths.shape + (3, 3))
+    jac[..., 0, 0] = -depths * uy
+    jac[..., 0, 1] = depths * (ay * uz - az * uy)
     jac[..., 0, 2] = ux
-    jac[..., 1, 0] = d * ux
-    jac[..., 1, 1] = d * (az * ux - ax * uz)
+    jac[..., 1, 0] = depths * ux
+    jac[..., 1, 1] = depths * (az * ux - ax * uz)
     jac[..., 1, 2] = uy
     jac[..., 2, 0] = 0.0
-    jac[..., 2, 1] = d * (ax * uy - ay * ux)
+    jac[..., 2, 1] = depths * (ax * uy - ay * ux)
     jac[..., 2, 2] = uz
     return jac
 
@@ -290,12 +280,19 @@ class BatchedManipulatorDynamics:
 
     # -- point-mass Jacobians -------------------------------------------------
 
-    def _jacobians(self, q: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        q1, q2 = q[..., 0], q[..., 1]
-        j3 = batched_position_jacobian(self._trig, q1, q2, q[..., 2])
-        j2 = batched_position_jacobian(self._trig, q1, q2, self._link2_radius)
-        j2[..., :, 2] = 0.0  # link-2 COM does not move with insertion
-        return j3, j2
+    def _jacobians(self, poses: np.ndarray) -> np.ndarray:
+        """Instrument and link-2 Jacobians at every pose row, from one
+        pass over the pose trig: ``(2, P, 3, 3)``, instrument first.
+
+        ``poses`` is ``(P, 3)``: the lanes' current poses, then, when the
+        Coriolis terms are on, their look-ahead poses (``P = 2N``).
+        """
+        axes = batched_pose_axes(self._trig, poses[:, 0], poses[:, 1])
+        radii = np.tile(self._link2_radius, len(poses) // self.num_lanes)
+        depths = np.stack([poses[:, 2], radii])
+        jac = batched_point_jacobians(axes, depths)
+        jac[1, :, :, 2] = 0.0  # link-2 COM does not move with insertion
+        return jac
 
     # -- dynamics terms -------------------------------------------------------
 
@@ -317,38 +314,45 @@ class BatchedManipulatorDynamics:
         :meth:`ManipulatorDynamics.acceleration` expression by expression."""
         q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
-        j3, j2 = self._jacobians(q)
+        n = len(q)
+        mi, ml = self._instrument_mass, self._link2_mass
 
-        m = (
-            self._m0
-            + self._instrument_mass[:, None, None] * batched_gram(j3)
-            + self._link2_mass[:, None, None] * batched_gram(j2)
-        )
+        # Current and look-ahead poses as 2N rows, so the pose trig runs
+        # once per call.  Still lanes divide by ~zero speed: their
+        # look-ahead rows are inf/nan, computed and then discarded by the
+        # np.where selection below, exactly as the scalar branch skips
+        # them; errstate silences those intentional lanes.
+        if self.include_coriolis:
+            speed = batched_norm3(qdot)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                eps = _JDOT_EPS / speed
+                jac = self._jacobians(np.concatenate([q, q + eps[:, None] * qdot]))
+        else:
+            jac = self._jacobians(q)
+        jac_now = jac[:, :n]
+        jac_t = np.swapaxes(jac_now, -1, -2)
+        j3, j2 = jac_now
+
+        # Both Gram products J.T @ J in one stacked matmul.
+        gram = np.matmul(jac_t, jac_now)
+        m = self._m0 + mi[:, None, None] * gram[0]
+        m = m + ml[:, None, None] * gram[1]
         if extra_inertia is not None:
             m = m + extra_inertia
 
         rhs = np.asarray(tau, dtype=float) - self.friction_force(qdot)
 
         if self.include_gravity:
-            rhs = rhs + (GRAVITY[2] * self._instrument_mass)[:, None] * j3[:, 2, :]
-            rhs = rhs + (GRAVITY[2] * self._link2_mass)[:, None] * j2[:, 2, :]
+            rhs = rhs + (GRAVITY[2] * mi)[:, None] * j3[:, 2, :]
+            rhs = rhs + (GRAVITY[2] * ml)[:, None] * j2[:, 2, :]
 
         if self.include_coriolis:
-            speed = batched_norm3(qdot)
             active = speed > _SPEED_EPS
-            # Still lanes divide by ~zero speed and are discarded by the
-            # np.where selection below, exactly as the scalar branch skips
-            # them; errstate silences the intentional inf/nan lanes.
             with np.errstate(divide="ignore", invalid="ignore"):
-                eps = _JDOT_EPS / speed
-                q_ahead = q + eps[:, None] * qdot
-                j3a, j2a = self._jacobians(q_ahead)
-                coriolis = rhs - self._instrument_mass[:, None] * batched_mat_t_vec(
-                    j3, batched_matvec(j3a - j3, qdot) / eps[:, None]
-                )
-                coriolis = coriolis - self._link2_mass[:, None] * batched_mat_t_vec(
-                    j2, batched_matvec(j2a - j2, qdot) / eps[:, None]
-                )
+                jdot_qdot = np.matmul(jac[:, n:] - jac_now, qdot[:, :, None])
+                forces = np.matmul(jac_t, jdot_qdot / eps[:, None, None])[..., 0]
+                coriolis = rhs - mi[:, None] * forces[0]
+                coriolis = coriolis - ml[:, None] * forces[1]
             rhs = np.where(active[:, None], coriolis, rhs)
 
         if extra_damping is not None:

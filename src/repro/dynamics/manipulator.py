@@ -28,8 +28,10 @@ used is far below any scale that matters at surgical velocities).
 The split methods (:meth:`ManipulatorDynamics.mass_matrix`,
 ``coriolis_force``, ``gravity_force``, ``friction_force``) are the
 readable specification.  The hot path,
-:meth:`ManipulatorDynamics.acceleration`, is one fused pass over the
-same terms.  It evaluates the pose trig once per pose
+:meth:`ManipulatorDynamics.acceleration_floats` (wrapped in an array by
+``acceleration``), is one fused pass over the same terms, on float copies
+of the configuration made at construction.  It evaluates the pose trig
+once per pose
 (:meth:`~repro.kinematics.spherical_arm.SphericalArm.pose_axes`), builds
 the instrument and link-2 Jacobians (and, when the arm moves, both again
 at the Coriolis look-ahead pose) in one ``np.array`` call, forms both
@@ -74,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,12 +105,15 @@ def _link2_entries(axes: Sequence[float], radius: float) -> JacobianEntries:
     return (j00, j01, 0.0, j10, j11, 0.0, j20, j21, 0.0)
 
 
-def _solve3(m: Sequence[Sequence[float]], b: Sequence[float]) -> np.ndarray:
+def _solve3(
+    m: Sequence[Sequence[float]], b: Sequence[float]
+) -> Tuple[float, float, float]:
     """Solve the symmetric 3x3 system ``m @ x = b`` by Cramer's rule.
 
     ~5x faster than ``np.linalg.solve`` at this size; the inertia matrix is
     positive definite so the determinant is safely bounded away from zero.
-    Rows and right-hand side may be arrays or float sequences.
+    Rows and right-hand side may be arrays or float sequences; the
+    solution is three floats.
     """
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = m
     c00 = a11 * a22 - a12 * a21
@@ -131,7 +136,7 @@ def _solve3(m: Sequence[Sequence[float]], b: Sequence[float]) -> np.ndarray:
         + a01 * (b1 * a20 - a10 * b2)
         + b0 * c02
     ) / det
-    return np.array([x0, x1, x2])
+    return x0, x1, x2
 
 
 @dataclass(frozen=True)
@@ -195,8 +200,13 @@ class ManipulatorDynamics:
         self.friction = friction or FrictionModel()
         self.include_coriolis = include_coriolis
         self.include_gravity = include_gravity
+        # Float copies of the configuration for the fused kernel, made
+        # here because the configuration is fixed from now on (parameter
+        # drift builds a new ManipulatorDynamics).
         #: Constant link inertia M0 as nine floats, row-major.
         self._m0 = np.diag(self.params.base_inertias).ravel().tolist()
+        self._viscous = self.friction.viscous.tolist()
+        self._coulomb = self.friction.coulomb.tolist()
 
     # -- point-mass Jacobians -------------------------------------------------
 
@@ -272,7 +282,32 @@ class ManipulatorDynamics:
 
         ``extra_inertia``/``extra_damping`` (3x3) let the plant add the
         motor rotors' reflected inertia and damping without re-deriving
-        the EOM.
+        the EOM.  The work is done by :meth:`acceleration_floats`.
+        """
+        return np.array(
+            self.acceleration_floats(
+                np.asarray(q, dtype=float).tolist(),
+                np.asarray(qdot, dtype=float),
+                np.asarray(tau, dtype=float).tolist(),
+                None if extra_inertia is None else extra_inertia.ravel().tolist(),
+                extra_damping,
+            )
+        )
+
+    def acceleration_floats(
+        self,
+        q: Sequence[float],
+        qdot: np.ndarray,
+        tau: Sequence[float],
+        inertia: Optional[List[float]] = None,
+        extra_damping: Optional[np.ndarray] = None,
+    ) -> Tuple[float, float, float]:
+        """:meth:`acceleration` as three floats, from float inputs.
+
+        ``q`` and ``tau`` are three floats, ``qdot`` the float64 array the
+        BLAS and ``tanh`` calls take, and ``inertia`` the extra inertia
+        as nine floats, row-major: callers that hold a fixed rotor
+        inertia make that copy once.
 
         This is the hot path of every derivative evaluation: one fused
         pass over the terms of ``mass_matrix``, ``friction_force``,
@@ -281,8 +316,7 @@ class ManipulatorDynamics:
         """
         p = self.params
         mi, ml, radius = p.instrument_mass, p.link2_mass, p.link2_com_radius
-        qdot = np.asarray(qdot, dtype=float)
-        q1, q2, d = np.asarray(q, dtype=float).tolist()
+        q1, q2, d = q
         qd0, qd1, qd2 = qdot.tolist()
 
         # Point-mass Jacobians in one array, flat and row-major: the
@@ -306,11 +340,10 @@ class ManipulatorDynamics:
         jac_t = jac_now.transpose(0, 2, 1)
 
         # rhs = tau - friction(qdot)
-        friction = self.friction
-        t0, t1, t2 = np.asarray(tau, dtype=float).tolist()
-        v0, v1, v2 = friction.viscous.tolist()
-        c0, c1, c2 = friction.coulomb.tolist()
-        h0, h1, h2 = np.tanh(qdot / friction.smoothing_velocity).tolist()
+        t0, t1, t2 = tau
+        v0, v1, v2 = self._viscous
+        c0, c1, c2 = self._coulomb
+        h0, h1, h2 = np.tanh(qdot / self.friction.smoothing_velocity).tolist()
         b0 = t0 - (v0 * qd0 + c0 * h0)
         b1 = t1 - (v1 * qd1 + c1 * h1)
         b2 = t2 - (v2 * qd2 + c2 * h2)
@@ -335,14 +368,12 @@ class ManipulatorDynamics:
 
         # M = M0 + mi * J3.T @ J3 + ml * J2.T @ J2 (+ rotor inertia).
         gram3, gram2 = np.matmul(jac_t, jac_now).reshape(2, -1).tolist()
-        if extra_inertia is None:
+        if inertia is None:
             m = [a + mi * g + ml * h for a, g, h in zip(self._m0, gram3, gram2)]
         else:
             m = [
                 a + mi * g + ml * h + e
-                for a, g, h, e in zip(
-                    self._m0, gram3, gram2, extra_inertia.ravel().tolist()
-                )
+                for a, g, h, e in zip(self._m0, gram3, gram2, inertia)
             ]
         return _solve3((m[0:3], m[3:6], m[6:9]), (b0, b1, b2))
 

@@ -120,6 +120,8 @@ class RavenPlant:
         self._reflected_damping = self.transmission.reflected_damping(
             [m.viscous_damping for m in self.motors]
         )
+        #: The rotor inertia as nine floats, row-major, for the kernel.
+        self._reflected_inertia_floats = self._reflected_inertia.ravel().tolist()
         self._kt = np.array([m.torque_constant for m in self.motors])
         self._tau_i = np.array([m.current_loop_tau for m in self.motors])
         self._i_max = np.array([m.max_current for m in self.motors])
@@ -254,12 +256,12 @@ class RavenPlant:
         substeps; the same inputs give the same bits).
         """
         dynamics = self.dynamics
-        refl_m = self._reflected_inertia
+        refl_m = self._reflected_inertia_floats
         refl_b = self._reflected_damping
         tau_i = self._tau_i
         g_t = self._g_t
         per_motor = list(zip(self._kt_floats, setpoints, i0))
-        joint_torques: Dict[float, np.ndarray] = {}
+        joint_torques: Dict[float, List[float]] = {}
 
         def f(t: float, y: np.ndarray) -> np.ndarray:
             tau_joint = joint_torques.get(t)
@@ -269,10 +271,10 @@ class RavenPlant:
                 torques = [
                     kt * (sp + (i - sp) * e) for (kt, sp, i), e in zip(per_motor, decay)
                 ]
-                tau_joint = joint_torques[t] = g_t @ np.array(torques)
+                tau_joint = joint_torques[t] = (g_t @ np.array(torques)).tolist()
             qdot = y[3:6]
-            qddot = dynamics.acceleration(
-                y[0:3], qdot, tau_joint, extra_inertia=refl_m, extra_damping=refl_b
+            qddot = dynamics.acceleration_floats(
+                y[0:3].tolist(), qdot, tau_joint, refl_m, refl_b
             )
             return np.concatenate((qdot, qddot))
 

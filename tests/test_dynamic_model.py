@@ -56,6 +56,28 @@ class TestDynamicModel:
         _q2, v2 = off.step(q0, np.zeros(3), [10000, 0, 0])
         assert not np.allclose(v1, v2)
 
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    def test_drifted_model_predicts_like_a_fresh_drifted_model(self, integrator):
+        """The float copies of the configuration follow
+        ``apply_parameter_drift()``: the next prediction is, bit for bit,
+        that of a fresh model built with the drifted dynamics."""
+        q = Workspace().neutral()
+        v = np.array([0.2, -0.1, 0.01])
+        dac = [9000, -4000, 2500]
+        model = RavenDynamicModel(integrator=integrator, parameter_error=1.03)
+        model.predict(q, v, dac)
+        model.apply_parameter_drift(1.2, friction_scale=0.7)
+        fresh = RavenDynamicModel(
+            integrator=integrator,
+            manipulator_params=model.dynamics.params,
+            friction=model.dynamics.friction,
+        )
+        got, want = model.predict(q, v, dac), fresh.predict(q, v, dac)
+        for name in ("jpos", "jvel", "mpos", "mvel"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        before = RavenDynamicModel(integrator=integrator, parameter_error=1.03)
+        assert before.predict(q, v, dac).jvel.tobytes() != got.jvel.tobytes()
+
     def test_predict_counts_timing(self, model):
         q0 = Workspace().neutral()
         model.predict(q0, np.zeros(3), [0, 0, 0])

@@ -180,6 +180,31 @@ class TestAnomalyDetector:
         detector.calibrate(tight_thresholds)
         assert detector.evaluate(make_estimate(mv=1.0, ma=1.0, jv=0.1)).alert
 
+    def test_calibrate_between_evaluations_matches_a_fresh_detector(
+        self, rng, loose_thresholds
+    ):
+        """The detector's float copies of its thresholds follow
+        ``calibrate()``: the next decision is, bit for bit, that of a
+        detector built with the new thresholds."""
+
+        def estimate(limits):
+            rows = {g: rng.normal(size=3) * getattr(limits, g) for g in VARIABLE_GROUPS}
+            return StateEstimate(
+                **rows, jpos_next=np.zeros(3), jvel_next=np.zeros(3), elapsed_s=0.0
+            )
+
+        def bits(result):
+            margins = {g: m.hex() for g, m in result.margins.items()}
+            return result.alert, result.raw_alert, result.alarms, margins
+
+        detector = AnomalyDetector(loose_thresholds)
+        for scale in (0.37, 1.9, 0.8):
+            detector.evaluate(estimate(loose_thresholds))
+            new = loose_thresholds.scaled(scale)
+            detector.calibrate(new)
+            after = estimate(loose_thresholds)
+            assert bits(detector.evaluate(after)) == bits(AnomalyDetector(new).evaluate(after))
+
     @pytest.mark.parametrize("axis", [0, 1, 2])
     @pytest.mark.parametrize("group", VARIABLE_GROUPS)
     def test_nan_axis_gives_nan_margin_and_no_alarm(self, loose_thresholds, group, axis):
