@@ -210,6 +210,8 @@ class RavenDynamicModel:
         The elapsed time per call is what Figure 8 reports as
         "Avg. Time/Step"; it must stay well below the 1 ms real-time
         budget for the detector to run in-line with the control loop.
+        ``jpos`` and ``jvel`` are float64 arrays, as the estimators hold
+        them; :meth:`step` converts any sequence.
         """
         probe = self._stopwatch
         with probe:

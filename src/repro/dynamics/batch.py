@@ -288,8 +288,9 @@ class BatchedManipulatorDynamics:
         Coriolis terms are on, their look-ahead poses (``P = 2N``).
         """
         axes = batched_pose_axes(self._trig, poses[:, 0], poses[:, 1])
-        radii = np.tile(self._link2_radius, len(poses) // self.num_lanes)
-        depths = np.stack([poses[:, 2], radii])
+        depths = np.empty((2, len(poses)))
+        depths[0] = poses[:, 2]
+        depths[1].reshape(-1, self.num_lanes)[...] = self._link2_radius
         jac = batched_point_jacobians(axes, depths)
         jac[1, :, :, 2] = 0.0  # link-2 COM does not move with insertion
         return jac
