@@ -17,7 +17,8 @@ the paper's safety argument depends on but ordinary linters cannot see:
     modules must be named in ``repro.constants`` or as dataclass
     defaults, never inlined.
 ``RPR004``
-    Pool safety: workers submitted to ``ParallelCampaignRunner`` must be
+    Pool safety: workers submitted to the engine's ``iter_tasks`` /
+    ``run_tasks`` (through which ``CampaignRunner`` fans out) must be
     picklable by construction (module-level callables).
 
 On top of the per-file tier, the whole-program layer

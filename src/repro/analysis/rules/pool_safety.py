@@ -1,10 +1,11 @@
 """RPR004 — picklable-by-construction process-pool submissions.
 
-``ParallelCampaignRunner`` and ``iter_tasks``/``run_tasks`` execute their
-worker on a ``ProcessPoolExecutor``: the worker must pickle.  A nested
-function, a locally bound lambda, or a ``functools.partial`` over either
-pickles on the serial path (``jobs=1``) and then explodes — or silently
-never runs in parallel — in production.  This rule rejects such workers
+``iter_tasks``/``run_tasks`` — and ``CampaignRunner``, which fans out
+through them — execute their worker on a ``ProcessPoolExecutor``: the
+worker must pickle.  A nested function, a locally bound lambda, or a
+``functools.partial`` over either runs in the in-process loop
+(``jobs=1``) and then explodes — or silently never runs in parallel — in
+production.  This rule rejects such workers
 at the submission site, wherever it appears.
 
 Lambdas written *inline* at the call site are RPR002's finding inside the

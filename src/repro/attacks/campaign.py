@@ -26,6 +26,12 @@ for each seed and replica kind one run is simulated up to the cycle before
 the trigger's first active cycle, and every cell's replica is a deep copy
 of it, armed with the cell's payload and period.  The prefix does not
 depend on either, so the outcomes are those of straight runs.
+
+One runner, :class:`CampaignRunner`, executes every campaign through the
+process-pool engine (:mod:`repro.experiments.parallel`) with one worker
+count, ``jobs``.  ``jobs=1`` is the engine's in-process loop, where every
+cell forks its replicas from one shared store; a pool worker simulates
+its cell's replicas straight.  The outcome list is the same either way.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from repro.core.baseline import RavenBaselineDetector
 from repro.core.metrics import ConfusionMatrix
 from repro.core.mitigation import MitigationStrategy
 from repro.core.thresholds import SafetyThresholds
+from repro.experiments.parallel import chunked, iter_tasks, resolve_jobs
 from repro.sim.runner import (
     AttackRun,
     AttackRunResult,
@@ -168,7 +175,25 @@ class PrefixStore:
 
 
 class CampaignRunner:
-    """Executes injection campaigns and labels their outcomes."""
+    """Executes injection campaigns and labels their outcomes.
+
+    One plan at any worker count — the same cells, the same repetition
+    and fault-free seeds, merged in the same order — and every run is a
+    deterministic function of the runner configuration and its seed, so
+    the outcome list does not depend on ``jobs``.  ``jobs`` is the number
+    of worker processes (``None`` resolves through
+    :func:`~repro.experiments.parallel.resolve_jobs`); at ``jobs=1`` the
+    engine runs every task in this process.  Three phases:
+
+    1. **warm-up** — the fault-free reference trace of every repetition
+       seed is computed once and its tip array handed to every cell task,
+       instead of each task re-deriving references;
+    2. **cells** — each (cell, all repetitions) group is one task; results
+       stream back in grid order, so callers can checkpoint (cache shards)
+       per cell;
+    3. **fault-free runs** — the negative-label runs, chunked across the
+       workers.
+    """
 
     def __init__(
         self,
@@ -178,6 +203,8 @@ class CampaignRunner:
         attack_delay_cycles: int = 300,
         base_seed: int = 0,
         progress: Optional[Callable[[str], None]] = None,
+        jobs: Optional[int] = None,
+        injector=None,
     ) -> None:
         self.thresholds = thresholds
         self.duration_s = duration_s
@@ -185,8 +212,14 @@ class CampaignRunner:
         self.attack_delay_cycles = attack_delay_cycles
         self.base_seed = base_seed
         self.baseline = RavenBaselineDetector()
+        self.jobs = resolve_jobs(jobs)
+        #: Optional :class:`repro.testing.faults.ChaosInjector` threaded
+        #: into every fan-out (chaos tests only; ``None`` in production,
+        #: where the engine still honours ``REPRO_CHAOS_PLAN``).
+        self.injector = injector
         self._references: Dict[int, np.ndarray] = {}
-        #: The current call's prefixes; ``None`` outside a campaign call.
+        #: The cell task's prefixes, installed by :func:`_cell_worker`;
+        #: ``None`` outside a cell task.
         self._prefixes: Optional[PrefixStore] = None
         self._progress = progress or (lambda msg: None)
 
@@ -203,9 +236,9 @@ class CampaignRunner:
     def prime_references(self, references: Dict[int, np.ndarray]) -> None:
         """Install precomputed reference tip arrays (seed -> ``(n, 3)``).
 
-        The parallel engine computes every seed's fault-free reference
-        exactly once in a warm-up pass and hands the tips to each worker,
-        instead of each worker re-deriving them.
+        The warm-up phase computes every seed's fault-free reference
+        exactly once and hands the tips to each cell task, instead of
+        each task re-deriving them.
         """
         self._references.update(references)
 
@@ -254,10 +287,10 @@ class CampaignRunner:
     def run_cell_once(self, cell: CampaignCell, seed: int) -> RunOutcome:
         """Both replicas of one repetition of ``cell``.
 
-        Each replica is a fork of the seed's prefix from the current
-        call's :class:`PrefixStore`; outside a campaign call it is a
-        straight run.  Each replica is released as soon as its outcome
-        fields are read, so at most one full trace is alive at a time.
+        Each replica is a fork of the seed's prefix from the cell task's
+        :class:`PrefixStore`; outside a cell task it is a straight run.
+        Each replica is released as soon as its outcome fields are read,
+        so at most one full trace is alive at a time.
         """
         prefixes = self._prefixes or PrefixStore(keep=False)
         reference_tip = self._reference_tip(seed)
@@ -299,7 +332,7 @@ class CampaignRunner:
             attack_fired=False,
         )
 
-    # -- whole campaigns -------------------------------------------------------------
+    # -- plan --------------------------------------------------------------------
 
     def plan_cells(
         self,
@@ -328,107 +361,8 @@ class CampaignRunner:
         """Default negative-run count: ~20% of the injection runs."""
         return max(1, len(cells) * repetitions // 5)
 
-    def run_campaign(
-        self,
-        scenario: str,
-        error_values: Sequence[float],
-        periods_ms: Sequence[int] = PAPER_PERIODS_MS,
-        repetitions: int = 20,
-        fault_free_runs: int = 0,
-        workers: int = 1,
-    ) -> CampaignResult:
-        """Sweep the full (error x period) grid with ``repetitions`` each.
-
-        ``fault_free_runs`` adds that many attack-free negative runs,
-        defaulting to roughly 20% of the injection runs when 0 is passed.
-        ``workers > 1`` delegates to :class:`ParallelCampaignRunner` with
-        that many processes (every run is an independent deterministic
-        function of its cell and seed, so results are bit-identical) —
-        the paper-scale campaigns are hours of single-core simulation
-        otherwise.
-        """
-        if workers > 1:
-            return ParallelCampaignRunner.from_runner(
-                self, jobs=workers
-            ).run_campaign(
-                scenario,
-                error_values,
-                periods_ms=periods_ms,
-                repetitions=repetitions,
-                fault_free_runs=fault_free_runs,
-            )
-        cells = self.plan_cells(scenario, error_values, periods_ms)
-        if fault_free_runs <= 0:
-            fault_free_runs = self.default_fault_free_runs(cells, repetitions)
-        result = CampaignResult(scenario=scenario)
-        self._prefixes = PrefixStore()
-        try:
-            for ci, cell in enumerate(cells):
-                for seed in self.repetition_seeds(repetitions):
-                    result.outcomes.append(self.run_cell_once(cell, seed))
-                self._progress(
-                    f"[{scenario}] cell {ci + 1}/{len(cells)} "
-                    f"(v={cell.error_value}, d={cell.period_ms}ms) done"
-                )
-        finally:
-            self._prefixes = None
-        for seed in self.fault_free_seeds(fault_free_runs):
-            result.outcomes.append(self.run_fault_free_once(seed))
-        self._progress(f"[{scenario}] campaign complete: {len(result.outcomes)} runs")
-        return result
-
-
-class ParallelCampaignRunner(CampaignRunner):
-    """Campaign execution fanned out over ``jobs`` worker processes.
-
-    The run plan is identical to the serial :class:`CampaignRunner` —
-    the same cells, the same repetition and fault-free seeds, merged in
-    the same order — and every run is a deterministic function of the
-    runner configuration and its seed, so the outcome list is
-    bit-identical to serial execution.  Three phases:
-
-    1. **warm-up** — the fault-free reference trace of every repetition
-       seed is computed once (in parallel) and its tip array distributed
-       to the workers, instead of each worker re-deriving references;
-    2. **cells** — each (cell, all repetitions) group is one task; results
-       stream back in grid order, and a callback fires per completed cell
-       so callers can checkpoint (cache shards) incrementally;
-    3. **fault-free runs** — the negative-label runs, chunked across the
-       workers.
-    """
-
-    def __init__(
-        self, *args, jobs: Optional[int] = None, injector=None, **kwargs
-    ) -> None:
-        from repro.experiments.parallel import resolve_jobs
-
-        super().__init__(*args, **kwargs)
-        self.jobs = resolve_jobs(jobs)
-        #: Optional :class:`repro.testing.faults.ChaosInjector` threaded
-        #: into every worker fan-out (chaos tests only; ``None`` in
-        #: production, where the engine still honours ``REPRO_CHAOS_PLAN``).
-        self.injector = injector
-
-    @classmethod
-    def from_runner(
-        cls, runner: CampaignRunner, jobs: Optional[int] = None, injector=None
-    ) -> "ParallelCampaignRunner":
-        """A parallel runner with the same configuration as ``runner``."""
-        parallel = cls(
-            runner.thresholds,
-            duration_s=runner.duration_s,
-            trajectory_name=runner.trajectory_name,
-            attack_delay_cycles=runner.attack_delay_cycles,
-            base_seed=runner.base_seed,
-            jobs=jobs,
-            injector=injector,
-        )
-        parallel._progress = runner._progress
-        parallel._references = runner._references
-        return parallel
-
     def _worker_config(self) -> dict:
-        """Picklable construction parameters for worker-side runners."""
+        """Picklable construction parameters for task-side runners."""
         return {
             "thresholds": self.thresholds.to_dict(),
             "duration_s": self.duration_s,
@@ -443,10 +377,8 @@ class ParallelCampaignRunner(CampaignRunner):
         """Warm-up pass: fault-free reference tips for every seed, once.
 
         Already-cached references are not recomputed; new ones are merged
-        into this runner's cache and returned for distribution to workers.
+        into this runner's cache and returned for the cell tasks.
         """
-        from repro.experiments.parallel import iter_tasks
-
         missing = [s for s in seeds if s not in self._references]
         tasks = [(self._worker_config(), seed) for seed in missing]
         for seed, tip in iter_tasks(
@@ -473,8 +405,6 @@ class ParallelCampaignRunner(CampaignRunner):
         (``jobs=1``) the cells share its prefixes; a pool worker unpickles
         a store that keeps none, so each of its replicas runs straight.
         """
-        from repro.experiments.parallel import iter_tasks
-
         if references is None:
             references = self.compute_references(seeds)
         config = self._worker_config()
@@ -489,7 +419,7 @@ class ParallelCampaignRunner(CampaignRunner):
             )
             for cell in cells
         ]
-        for cell, outcomes in zip(
+        yield from zip(
             cells,
             iter_tasks(
                 _cell_worker,
@@ -499,13 +429,10 @@ class ParallelCampaignRunner(CampaignRunner):
                 label="campaign cells",
                 injector=self.injector,
             ),
-        ):
-            yield cell, outcomes
+        )
 
     def run_fault_free_batch(self, seeds: Sequence[int]) -> List[RunOutcome]:
         """The attack-free (negative-label) runs, chunked across workers."""
-        from repro.experiments.parallel import chunked, iter_tasks
-
         config = self._worker_config()
         tasks = [(config, chunk) for chunk in chunked(list(seeds), self.jobs)]
         outcomes: List[RunOutcome] = []
@@ -529,29 +456,20 @@ class ParallelCampaignRunner(CampaignRunner):
         periods_ms: Sequence[int] = PAPER_PERIODS_MS,
         repetitions: int = 20,
         fault_free_runs: int = 0,
-        workers: int = 0,
-        on_cell_done: Optional[
-            Callable[[CampaignCell, List[RunOutcome]], None]
-        ] = None,
     ) -> CampaignResult:
-        """Parallel sweep with the serial plan and merge order.
+        """Sweep the full (error x period) grid with ``repetitions`` each.
 
-        ``on_cell_done`` fires after each cell's repetitions complete (in
-        grid order) — the cache layer uses it to write one shard per cell
-        so interrupted campaigns resume instead of restarting.
+        ``fault_free_runs`` adds that many attack-free negative runs,
+        defaulting to roughly 20% of the injection runs when 0 is passed.
         """
-        if workers > 1:
-            self.jobs = workers
         cells = self.plan_cells(scenario, error_values, periods_ms)
         if fault_free_runs <= 0:
             fault_free_runs = self.default_fault_free_runs(cells, repetitions)
         seeds = self.repetition_seeds(repetitions)
         references = self.compute_references(seeds)
         result = CampaignResult(scenario=scenario)
-        for cell, outcomes in self.iter_cells(cells, seeds, references):
+        for _cell, outcomes in self.iter_cells(cells, seeds, references):
             result.outcomes.extend(outcomes)
-            if on_cell_done is not None:
-                on_cell_done(cell, outcomes)
         result.outcomes.extend(
             self.run_fault_free_batch(self.fault_free_seeds(fault_free_runs))
         )
@@ -560,6 +478,11 @@ class ParallelCampaignRunner(CampaignRunner):
             f"({self.jobs} jobs)"
         )
         return result
+
+
+#: The former name of :class:`CampaignRunner`, kept for callers that still
+#: import it; it names the same class.
+ParallelCampaignRunner = CampaignRunner
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +497,7 @@ def _runner_from_config(config: dict) -> CampaignRunner:
         trajectory_name=config["trajectory_name"],
         attack_delay_cycles=config["attack_delay_cycles"],
         base_seed=config["base_seed"],
+        jobs=1,
     )
 
 

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 from repro.attacks.campaign import (
     CampaignCell,
     CampaignResult,
-    ParallelCampaignRunner,
+    CampaignRunner,
     RunOutcome,
 )
 from repro.experiments.calibration import CACHE_DIR, get_thresholds
@@ -128,8 +128,8 @@ def campaign_config(scenario: str, scale: Scale, thresholds) -> dict:
 
 def _make_runner(
     scale: Scale, thresholds, progress=None, jobs=None, injector=None
-) -> ParallelCampaignRunner:
-    return ParallelCampaignRunner(
+) -> CampaignRunner:
+    return CampaignRunner(
         thresholds,
         duration_s=scale.run_duration_s,
         progress=progress,
@@ -189,8 +189,8 @@ def get_campaign(
     continues where the previous run stopped.  Shards that fail JSON or
     version/integrity validation are quarantined and recomputed rather
     than trusted or crashed on.  The merged outcome list is identical to
-    one serial :class:`CampaignRunner` sweep regardless of worker count
-    or how many resume round-trips it took.
+    one uncached :meth:`CampaignRunner.run_campaign` call, whatever the
+    worker count and however many resume round-trips it took.
 
     ``injector`` threads a :class:`repro.testing.faults.ChaosInjector`
     into both the worker fan-out and the shard writes (chaos tests only).

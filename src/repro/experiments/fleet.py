@@ -120,8 +120,9 @@ def run_fleet_campaign(
     chaos faults mid-campaign take the same path in-process: the tick
     report says where the resumed session's cursor must rewind to.
 
-    ``on_tick(tick, report)`` runs after every tick — the SIGKILL chaos
-    test uses it to kill the campaign process at a chosen tick.
+    ``on_tick(tick, report)`` runs after every tick, the catch-up ticks
+    included — the SIGKILL chaos test uses it to kill the campaign
+    process at a chosen tick.
     """
     thresholds = thresholds if thresholds is not None else NOMINAL_THRESHOLDS
     fleet = FleetSupervisor(store=store, config=config, injector=injector)
@@ -147,7 +148,19 @@ def run_fleet_campaign(
         fingerprints={}, ticks_run=0, supervisor=fleet
     )
     index_of = {spec.session_id: i for i, spec in enumerate(specs)}
-    for tick in range(start_tick, ticks):
+
+    def behind() -> bool:
+        # Replayed sessions may still be behind the stream when the tick
+        # budget runs out; ticking goes on until every live cursor catches
+        # up, so a resumed campaign is comparable to an uninterrupted one.
+        return any(
+            cursor[spec.session_id] < ticks
+            and not fleet.sessions[spec.session_id].quarantined
+            for spec in specs
+        )
+
+    tick = start_tick
+    while tick < ticks or behind():
         for spec in specs:
             sid = spec.session_id
             if fleet.sessions[sid].quarantined:
@@ -171,32 +184,6 @@ def run_fleet_campaign(
             cursor[sid] = resumed_at
         if on_tick is not None:
             on_tick(tick, report)
-
-    # Replayed sessions may still be behind the stream when the tick
-    # budget runs out; keep ticking until every live cursor catches up so
-    # a resumed campaign is comparable to an uninterrupted one.
-    tick = ticks
-    while any(
-        cursor[spec.session_id] < ticks
-        and not fleet.sessions[spec.session_id].quarantined
-        for spec in specs
-    ):
-        for spec in specs:
-            sid = spec.session_id
-            if fleet.sessions[sid].quarantined or cursor[sid] >= ticks:
-                continue
-            frame = frame_for(seed, index_of[sid], cursor[sid])
-            result.frames_sent += 1
-            if fleet.ingest(sid, frame):
-                cursor[sid] += 1
-            else:
-                result.frames_rejected += 1
-        report = fleet.tick(tick)
-        result.ticks_run += 1
-        result.kills.extend(report.killed)
-        result.quarantines.extend(report.quarantined)
-        for sid, resumed_at in report.killed:
-            cursor[sid] = resumed_at
         tick += 1
 
     result.fingerprints = fleet.fingerprints()

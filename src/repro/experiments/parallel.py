@@ -8,7 +8,7 @@ fans those runs out across worker processes and persists their results
 safely:
 
 - :func:`resolve_jobs` — worker-count policy (``REPRO_JOBS`` environment
-  variable, default ``os.cpu_count() - 1``, ``1`` = serial fallback);
+  variable, default ``os.cpu_count() - 1``, ``1`` = in-process);
 - :func:`iter_tasks` / :func:`run_tasks` — deterministic-order map over a
   :class:`~concurrent.futures.ProcessPoolExecutor` that degrades to a
   plain in-process loop when one job is requested, so parallel results
@@ -102,16 +102,12 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Number of worker processes to use.
 
     Explicit ``jobs`` wins; otherwise the ``REPRO_JOBS`` environment
-    variable (``REPRO_WORKERS`` is honoured as a legacy alias); otherwise
-    :func:`default_jobs`.  ``1`` means serial in-process execution.
+    variable; otherwise :func:`default_jobs`.  ``1`` means in-process
+    execution.
     """
-    if jobs is not None:
-        return max(1, int(jobs))
-    for var in ("REPRO_JOBS", "REPRO_WORKERS"):
-        value = env_parsed(var, int, kind="an integer")
-        if value is not None:
-            return max(1, value)
-    return default_jobs()
+    if jobs is None:
+        jobs = env_parsed("REPRO_JOBS", int, kind="an integer")
+    return default_jobs() if jobs is None else max(1, int(jobs))
 
 
 def _env_number(var: str, parse: Callable[[str], _T]) -> Optional[_T]:

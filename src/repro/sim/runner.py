@@ -197,9 +197,10 @@ def train_thresholds(
     Runs alternate between the two paper trajectories (circle, suturing)
     with per-run randomized parameters for movement variability.
 
-    ``jobs > 1`` fans the independent runs out over that many worker
-    processes; samples merge in seed order, so the fitted thresholds are
-    bit-identical to a serial run.  ``injector`` threads a
+    The runs go through the engine's :func:`iter_tasks` on ``jobs``
+    worker processes (``1``, the default, is its in-process loop);
+    samples merge in seed order, so the fitted thresholds do not depend
+    on ``jobs``.  ``injector`` threads a
     :class:`repro.testing.faults.ChaosInjector` into the fan-out so the
     chaos suite can exercise the calibration path too.
     """
@@ -216,22 +217,18 @@ def train_thresholds(
         )
         for i in range(num_runs)
     ]
-    if jobs == 1:
-        batches = (collect_calibration_samples(**task) for task in tasks)
-    else:
-        # Deferred import: the engine lives in the experiments layer and
-        # must not be a hard dependency of the simulator.
-        from repro.experiments.parallel import iter_tasks
+    # Deferred import: the engine lives in the experiments layer and
+    # must not be a hard dependency of the simulator.
+    from repro.experiments.parallel import iter_tasks
 
-        batches = iter_tasks(
-            _calibration_worker,
-            tasks,
-            jobs=jobs,
-            progress=progress,
-            label="threshold training",
-            injector=injector,
-        )
-    for batch in batches:
+    for batch in iter_tasks(
+        _calibration_worker,
+        tasks,
+        jobs=jobs,
+        progress=progress,
+        label="threshold training",
+        injector=injector,
+    ):
         learner.observe_run(**batch)
     return learner.fit()
 

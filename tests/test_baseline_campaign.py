@@ -115,40 +115,3 @@ class TestCampaignResult:
         assert result.outcomes[-1].is_fault_free
         assert not result.outcomes[0].is_fault_free
 
-
-class TestParallelCampaign:
-    @pytest.mark.campaign
-    def test_parallel_matches_serial(self, loose_thresholds):
-        """workers>1 produces the same deterministic outcomes as serial."""
-        from repro.attacks.campaign import CampaignRunner
-
-        kwargs = dict(
-            scenario="B",
-            error_values=[26000],
-            periods_ms=[16],
-            repetitions=2,
-            fault_free_runs=2,
-        )
-        serial = CampaignRunner(loose_thresholds, duration_s=0.9).run_campaign(
-            **kwargs, workers=1
-        )
-        parallel = CampaignRunner(loose_thresholds, duration_s=0.9).run_campaign(
-            **kwargs, workers=2
-        )
-
-        def key(o):
-            return (
-                o.cell is None,
-                0 if o.cell is None else o.cell.error_value,
-                0 if o.cell is None else o.cell.period_ms,
-                o.seed,
-            )
-
-        a = sorted(serial.outcomes, key=key)
-        b = sorted(parallel.outcomes, key=key)
-        assert len(a) == len(b)
-        for sa, sb in zip(a, b):
-            assert sa.label == sb.label
-            assert sa.model_detected == sb.model_detected
-            assert sa.raven_detected == sb.raven_detected
-            assert sa.deviation_mm == pytest.approx(sb.deviation_mm, abs=1e-9)

@@ -619,6 +619,31 @@ class TestCheckpointResume:
         assert chaos.kills and chaos.kills[0][0] == "rig-001"
         assert chaos.fingerprints == base.fingerprints
 
+    def test_catch_up_ticks_count_their_checkpoints(self, store):
+        """The ticks after the budget that let a killed session's cursor
+        catch up are ticks like any other: their checkpoints are counted
+        and ``on_tick`` sees them."""
+        ticks = 40
+        plan = FaultPlan(
+            specs=[FaultSpec(kind="session_kill", match="rig-001", index=17)]
+        )
+        seen = []
+        chaos = run_fleet_campaign(
+            num_sessions=3,
+            ticks=ticks,
+            seed=2,
+            config=FleetConfig(checkpoint_every=6),
+            store=store,
+            injector=ChaosInjector(plan),
+            on_tick=lambda tick, report: seen.append(tick),
+        )
+        # Precondition: the catch-up ticks crossed a checkpoint boundary.
+        assert chaos.ticks_run > ticks
+        assert chaos.supervisor.sessions["rig-001"].last_checkpoint_tick >= ticks
+        snapshots = sum(len(store.versions(sid)) for sid in store.session_ids())
+        assert chaos.checkpoints == snapshots
+        assert seen == list(range(chaos.ticks_run))
+
     def test_corrupt_checkpoint_resumes_from_older_version(self, store):
         cfg = FleetConfig(checkpoint_every=6)
         base = run_fleet_campaign(num_sessions=2, ticks=40, seed=2, config=cfg)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.attacks.campaign import CampaignRunner, ParallelCampaignRunner
+from repro.attacks.campaign import CampaignRunner
 from repro.errors import TaskExecutionError
 from repro.experiments.campaigns import get_campaign
 from repro.experiments.scale import Scale
@@ -100,8 +100,8 @@ class TestTraceGoldens:
 
 @pytest.mark.campaign
 class TestCampaignGoldens:
-    """Campaign outcomes: serial, parallel, and resumed must all match
-    the same recorded fingerprint.
+    """Campaign outcomes: in-process (``jobs=1``), on a pool, and resumed
+    must all match the same recorded fingerprint.
 
     These pin the pre-attack window: the 700-cycle runs end just as the
     campaign's 300-cycle attack delay after Pedal Down (cycle 400) runs
@@ -112,15 +112,15 @@ class TestCampaignGoldens:
     GRID = dict(scenario="B", error_values=[26000], periods_ms=[16, 64])
 
     def test_serial_campaign(self, golden, loose_thresholds):
-        result = CampaignRunner(loose_thresholds, duration_s=0.7).run_campaign(
-            **self.GRID, repetitions=1, fault_free_runs=1
-        )
+        result = CampaignRunner(
+            loose_thresholds, duration_s=0.7, jobs=1
+        ).run_campaign(**self.GRID, repetitions=1, fault_free_runs=1)
         golden.check("campaign_b_serial", campaign_fingerprint(result))
 
     def test_parallel_campaign_matches_serial_golden(
         self, golden, loose_thresholds
     ):
-        result = ParallelCampaignRunner(
+        result = CampaignRunner(
             loose_thresholds, duration_s=0.7, jobs=2
         ).run_campaign(**self.GRID, repetitions=1, fault_free_runs=1)
         golden.check("campaign_b_serial", campaign_fingerprint(result))
@@ -150,7 +150,7 @@ class TestCampaignGoldens:
 
 @pytest.mark.campaign
 class TestFiredCampaignGoldens:
-    """Campaigns whose attacks fire, pinned serial and with two workers.
+    """Campaigns whose attacks fire, pinned in-process and with two workers.
 
     The 1200-cycle runs outlast Pedal Down (cycle 400) plus the 300-cycle
     attack delay by 500 cycles, so every cell's injection fires inside
@@ -165,11 +165,8 @@ class TestFiredCampaignGoldens:
     }
 
     def _run(self, scenario, thresholds, jobs):
-        timing = dict(duration_s=1.2, attack_delay_cycles=300)
-        runner = (
-            CampaignRunner(thresholds, **timing)
-            if jobs == 1
-            else ParallelCampaignRunner(thresholds, jobs=jobs, **timing)
+        runner = CampaignRunner(
+            thresholds, duration_s=1.2, attack_delay_cycles=300, jobs=jobs
         )
         result = runner.run_campaign(
             **self.GRIDS[scenario], repetitions=1, fault_free_runs=1
@@ -240,7 +237,12 @@ def _fleet_worker(db_path: str) -> None:
 
 @pytest.mark.fleet
 class TestFleetGoldens:
-    """Fleet supervisor: uninterrupted, killed-and-resumed, both pinned."""
+    """Fleet supervisor: uninterrupted, killed-and-resumed, both pinned.
+
+    ``fleet_campaign.json`` pins benign synthetic streams
+    (:func:`~repro.experiments.fleet.frame_for`) judged under
+    ``NOMINAL_THRESHOLDS``, so it holds no alert and no attacked decision.
+    """
 
     def _run(self, **kwargs):
         from repro.experiments.fleet import run_fleet_campaign

@@ -17,7 +17,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.attacks.campaign import CampaignRunner, ParallelCampaignRunner
+from repro.attacks.campaign import CampaignRunner
+from repro.errors import TaskExecutionError
 from repro.experiments import parallel as engine
 from repro.experiments.campaigns import (
     campaign_cache_path,
@@ -25,6 +26,8 @@ from repro.experiments.campaigns import (
 )
 from repro.experiments.scale import Scale
 from repro.sim.runner import train_thresholds
+from repro.testing import ChaosInjector, FaultPlan, FaultSpec
+from repro.testing.faults import ALWAYS
 
 TINY = Scale(
     name="tiny-parallel",
@@ -57,14 +60,8 @@ class TestEngineBasics:
         monkeypatch.setenv("REPRO_JOBS", "5")
         assert engine.resolve_jobs() == 5
 
-    def test_resolve_jobs_legacy_alias(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert engine.resolve_jobs() == 3
-
     def test_resolve_jobs_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert engine.resolve_jobs() == engine.default_jobs() >= 1
 
     def test_resolve_jobs_rejects_garbage(self, monkeypatch):
@@ -154,16 +151,28 @@ class TestVersionedPayloads:
 
 @pytest.mark.campaign
 class TestSerialParallelEquivalence:
+    """``jobs=1`` (the engine's in-process loop) against a worker pool."""
+
     GRID = dict(scenario="B", error_values=[26000], periods_ms=[16])
 
-    def test_small_grid_bit_identical(self, loose_thresholds):
-        serial = CampaignRunner(loose_thresholds, duration_s=0.7).run_campaign(
-            **self.GRID, repetitions=1, fault_free_runs=1
-        )
-        parallel = ParallelCampaignRunner(
-            loose_thresholds, duration_s=0.7, jobs=2
-        ).run_campaign(**self.GRID, repetitions=1, fault_free_runs=1)
-        assert serial.outcomes == parallel.outcomes
+    @pytest.mark.parametrize(
+        "duration_s, repetitions, fault_free_runs",
+        [(0.7, 1, 1), (0.9, 2, 2)],
+        ids=["1rep", "2reps"],
+    )
+    def test_small_grid_bit_identical(
+        self, loose_thresholds, duration_s, repetitions, fault_free_runs
+    ):
+        def run(jobs):
+            return CampaignRunner(
+                loose_thresholds, duration_s=duration_s, jobs=jobs
+            ).run_campaign(
+                **self.GRID, repetitions=repetitions, fault_free_runs=fault_free_runs
+            )
+
+        serial = run(1)
+        assert len(serial.outcomes) == repetitions + fault_free_runs
+        assert serial.outcomes == run(2).outcomes
 
     @pytest.mark.slow
     def test_full_grid_bit_identical(self, loose_thresholds):
@@ -174,10 +183,10 @@ class TestSerialParallelEquivalence:
             repetitions=2,
             fault_free_runs=4,
         )
-        serial = CampaignRunner(loose_thresholds, duration_s=0.8).run_campaign(
-            **grid
-        )
-        parallel = ParallelCampaignRunner(
+        serial = CampaignRunner(
+            loose_thresholds, duration_s=0.8, jobs=1
+        ).run_campaign(**grid)
+        parallel = CampaignRunner(
             loose_thresholds, duration_s=0.8, jobs=4
         ).run_campaign(**grid)
         assert serial.outcomes == parallel.outcomes
@@ -187,6 +196,18 @@ class TestSerialParallelEquivalence:
         parallel = train_thresholds(num_runs=2, duration_s=0.7, jobs=2)
         for group in ("motor_velocity", "motor_acceleration", "joint_velocity"):
             assert np.array_equal(getattr(serial, group), getattr(parallel, group))
+
+    def test_threshold_training_honours_its_injector_at_one_job(self):
+        injector = ChaosInjector(
+            FaultPlan([FaultSpec(kind="raise", index=1, times=ALWAYS)])
+        )
+        progress = []
+        with pytest.raises(TaskExecutionError):
+            train_thresholds(
+                num_runs=2, duration_s=0.7, jobs=1,
+                progress=progress.append, injector=injector,
+            )
+        assert progress == ["threshold training: 1/2 done (serial)"]
 
 
 @pytest.mark.campaign

@@ -21,7 +21,7 @@ from types import BuiltinFunctionType, CodeType, FunctionType, ModuleType
 import numpy as np
 import pytest
 
-from repro.attacks.campaign import CampaignRunner, ParallelCampaignRunner, PrefixStore
+from repro.attacks.campaign import CampaignRunner, PrefixStore
 from repro.attacks.injection import AttackRecord
 from repro.core.mitigation import MitigationStrategy
 from repro.obs.runtime import get_runtime
@@ -132,8 +132,10 @@ def test_fork_under_an_encoder_fault_plan(tmp_path, monkeypatch, loose_threshold
 # -- the campaign's prefix store ----------------------------------------------------
 
 
-@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "jobs1_tasks"])
-def test_a_campaign_call_builds_each_prefix_once(parallel, loose_thresholds, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+def test_a_campaign_call_builds_each_prefix_once(jobs, loose_thresholds, monkeypatch):
+    """In-process, every cell forks one prefix per replica kind; with a
+    pool, the workers build their own and this process builds none."""
     built = []
     original = CampaignRunner._prefix
 
@@ -142,15 +144,13 @@ def test_a_campaign_call_builds_each_prefix_once(parallel, loose_thresholds, mon
         return original(self, scenario, seed, monitored)
 
     monkeypatch.setattr(CampaignRunner, "_prefix", counting)
-    timing = dict(duration_s=0.5, attack_delay_cycles=50)
-    runner = (
-        ParallelCampaignRunner(loose_thresholds, jobs=1, **timing)
-        if parallel
-        else CampaignRunner(loose_thresholds, **timing)
+    runner = CampaignRunner(
+        loose_thresholds, duration_s=0.5, attack_delay_cycles=50, jobs=jobs
     )
     result = runner.run_campaign("B", [26000], [1, 16], repetitions=1, fault_free_runs=1)
     assert all(o.attack_fired for o in result.outcomes if not o.is_fault_free)
-    assert sorted(built) == [("B", 0, False), ("B", 0, True)]
+    expected = [("B", 0, False), ("B", 0, True)] if jobs == 1 else []
+    assert sorted(built) == expected
     assert runner._prefixes is None
 
 
